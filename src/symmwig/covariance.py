@@ -8,6 +8,16 @@ float rounding at the end), provides the closed-form limits, and carries
 two independent brute-force oracles used to cross-check everything:
 a configuration oracle for finite-support entry laws and a moment oracle
 that factorizes entry products over equivalence classes.
+
+One enumeration pass serves every dihedral element: row one's walks start
+at index 0 only, and the sign sums are multiplied by 2n.  The start index
+does not matter because two index maps act transitively on the 2n
+indices: relabelling 1..n in both blocks at once, and swapping the blocks
+(p <-> p +- n).  Both send equivalence classes to classes of the same
+kind, up to one sign per class.  In a good multi-index every row-one
+occurrence of a class is matched by a row-two occurrence, so each class
+occurs an even number of times and those signs cancel, in both partition
+modes.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .ensemble import (
     class_of,
     class_tables,
 )
-from .patterns import BudgetError, DihedralElement, dihedral_group, pair_partition
+from .patterns import BudgetError, DihedralElement, dihedral_group
 
 __all__ = [
     "BudgetError",
@@ -167,6 +177,9 @@ def good_multiindices(
 
 # -- vectorized good-set sign sums --------------------------------------------
 
+_WALK_CHUNK = 1 << 13  # row-one walks per block; bounds the pass's memory
+
+
 def _member_tables(symmetry_class: SymmetryClass, n: int):
     """Per-class lookup keyed by first index: a class has at most one
     member in each row of the matrix, so (class, p) determines (q, sign)."""
@@ -186,67 +199,75 @@ def _member_tables(symmetry_class: SymmetryClass, n: int):
     return q_by_p, s_by_p, ok_by_p, member_p
 
 
-def _good_sign_sum(
+def _good_sign_sums(
     symmetry_class: SymmetryClass,
     n: int,
     m: int,
-    g: DihedralElement,
     partition_mode: str = "equality",
-) -> int:
-    """Integer sum over S^good(pi_g) of the product of all member signs.
+    budget: int = 10**8,
+) -> dict[DihedralElement, int]:
+    """Integer sum over S^good(pi_g) of the product of all member signs,
+    for every dihedral element g at once.
 
-    Enumerates the first row's index walks in bulk; the second row is then
-    chased deterministically from each of the (at most four) admissible
-    starting indices of its first slot's class.
+    Row one's index walks are enumerated in bulk from the start index 0
+    only, and the sums are scaled by 2n (see the module docstring).  The
+    walks, their classes, the validity mask and the row-one sign products
+    are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory, and
+    shared by every g; only the row-two chase runs per element, from
+    each of the (at most four) admissible starting indices of its first
+    slot's class.
     """
+    if partition_mode not in PARTITION_MODES:
+        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     dim = 2 * n
+    if dim**m > budget:
+        raise BudgetError(f"{dim}^{m} first-row walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
     q_by_p, s_by_p, ok_by_p, member_p = _member_tables(symmetry_class, n)
-    g0 = [x - 1 for x in g.perm]  # 0-based images
-    ginv = [0] * m
-    for l in range(m):
-        ginv[g0[l]] = l
-    total = 0
+    q_by_p, s_by_p, ok_by_p = q_by_p.ravel(), s_by_p.ravel(), ok_by_p.ravel()
+    group = dihedral_group(m)
+    sums = dict.fromkeys(group, 0)
     n_walks = dim ** (m - 1)
-    for p0 in range(dim):
-        rem = np.arange(n_walks)
-        cols = [np.full(n_walks, p0, dtype=np.int32)]
+    for lo in range(0, n_walks, _WALK_CHUNK):
+        rem = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
+        cols = [np.zeros(len(rem), dtype=np.int32)]
         for _ in range(m - 1):
             cols.append((rem % dim).astype(np.int32))
             rem //= dim
         c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
-        valid = np.ones(n_walks, dtype=bool)
+        valid = np.ones(len(rem), dtype=bool)
         for l in range(m):
             valid &= c[l] >= 0
         if partition_mode == "equality":
             for l in range(m):
                 for l2 in range(l + 1, m):
                     valid &= c[l] != c[l2]
-        if not valid.any():
-            continue
         w = np.nonzero(valid)[0]
         cw = [arr[w] for arr in c]
+        offset = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
         s1 = np.ones(len(w), dtype=np.int64)
         for l in range(m):
             s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
-        # slot j of row two carries the class of row-one slot g^{-1}(j)
-        d = [cw[ginv[j]] for j in range(m)]
-        chased = np.zeros(len(w), dtype=np.int64)
-        for k in range(4):
-            start = member_p[d[0], k]
-            alive = start >= 0
-            v = np.where(alive, start, 0).astype(np.int32)
-            v0 = v.copy()
-            s2 = np.ones(len(w), dtype=np.int8)
-            for j in range(m):
-                flat = d[j].astype(np.int64) * dim + v
-                alive &= ok_by_p.ravel()[flat]
-                s2 = s2 * s_by_p.ravel()[flat]
-                v = q_by_p.ravel()[flat]
-            alive &= v == v0  # cyclic closure of row two
-            chased += np.where(alive, s2.astype(np.int64), 0)
-        total += int(np.sum(s1 * chased))
-    return total
+        for g in group:
+            # slot j of row two carries the class of row-one slot g^{-1}(j)
+            ginv = [l - 1 for l in g.inverse_perm()]
+            d = [offset[l] for l in ginv]
+            # row two starts at any member of its first class; each start
+            # fixes the rest of the row, and only live walks are carried
+            starts = member_p[cw[ginv[0]]]
+            walk, k = np.nonzero(starts >= 0)
+            v0 = starts[walk, k]
+            flat = d[0][walk] + v0
+            s2 = s1[walk] * s_by_p[flat]
+            v = q_by_p[flat]
+            for j in range(1, m):
+                flat = d[j][walk] + v
+                live = ok_by_p[flat]
+                walk, v0, flat, s2 = walk[live], v0[live], flat[live], s2[live]
+                s2 = s2 * s_by_p[flat]
+                v = q_by_p[flat]
+            sums[g] += int(np.sum(s2[v == v0]))  # cyclic closure of row two
+    return {g: dim * total for g, total in sums.items()}
 
 
 # -- exact finite-size variance ------------------------------------------------
@@ -255,6 +276,14 @@ def _pair_moment_unit(symmetry_class: SymmetryClass) -> int:
     # E a(P) a(Q) within one class is (sign product) * unit * E g^2;
     # the DIII representative entry is i*g, so the unit is i^2 = -1.
     return -1 if symmetry_class is SymmetryClass.DIII else 1
+
+
+def _dihedral_value(
+    symmetry_class: SymmetryClass, n: int, m: int, model: EntryModel, sign_sum: int
+) -> float:
+    """A good-set sign sum scaled to its share of V_n, rounded once."""
+    unit = _pair_moment_unit(symmetry_class)
+    return float(Fraction(sign_sum * unit**m, (2 * n) ** m)) * model.sigma2**m
 
 
 def V_n_exact(
@@ -272,7 +301,10 @@ def V_n_exact(
     dihedral good-set formula with integer sign arithmetic, rounding to
     float once at the end.  For m >= 3 this is the leading-order formula
     evaluated at n, not the finite-n variance that the oracles compute;
-    the two differ by O(1/n).
+    the two differ by O(1/n).  One pass with row one starting at index 0
+    gives the sign sums of all 2m elements: every start index contributes
+    the same, by the relabelling and block-swap symmetry described in the
+    module docstring.
     """
     if partition_mode not in PARTITION_MODES:
         raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
@@ -298,14 +330,8 @@ def V_n_exact(
             for c in build_equivalence_classes(symmetry_class, n)
         )
         return float(Fraction(ksum, dim**2)) * var4
-    if dim**m > budget:
-        raise BudgetError(f"{dim}^{m} first-row walks exceed budget {budget}")
-    total = sum(
-        _good_sign_sum(symmetry_class, n, m, g, partition_mode)
-        for g in dihedral_group(m)
-    )
-    unit = _pair_moment_unit(symmetry_class)
-    return float(Fraction(total * unit**m, dim**m)) * model.sigma2**m
+    sums = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+    return _dihedral_value(symmetry_class, n, m, model, sum(sums.values()))
 
 
 def V_asymptotic(
@@ -480,13 +506,37 @@ def cov_traces_moment_oracle(
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("powers must be >= 1")
+    return _power_covariance(symmetry_class, n, k1, k2, model, budget, {})
+
+
+def _power_expansion(
+    cache: dict, symmetry_class: SymmetryClass, n: int, k: int, budget: int
+) -> dict[tuple[int, ...], int]:
+    """``_power_trace_monomials``, kept in ``cache`` under ("trace", k)."""
+    key = ("trace", k)
+    if key not in cache:
+        cache[key] = _power_trace_monomials(symmetry_class, n, k, budget)
+    return cache[key]
+
+
+def _power_covariance(
+    symmetry_class: SymmetryClass,
+    n: int,
+    k1: int,
+    k2: int,
+    model: EntryModel,
+    budget: int,
+    cache: dict,
+) -> float:
+    """``cov_traces_moment_oracle`` for k1, k2 >= 1, taking the power-trace
+    expansions from ``cache`` and storing the ones it builds there."""
     if (k1 + k2) % 2 == 1:
         # one trace is an odd polynomial of an ensemble symmetric under
         # X -> -X conjugation, hence identically zero
         return 0.0
-    P1 = _power_trace_monomials(symmetry_class, n, k1, budget)
-    P2 = _power_trace_monomials(symmetry_class, n, k2, budget)
-    mom = model.moment
+    P1 = _power_expansion(cache, symmetry_class, n, k1, budget)
+    P2 = _power_expansion(cache, symmetry_class, n, k2, budget)
+    mom = [model.moment(v) for v in range(k1 + k2 + 1)]
 
     def expect(P: dict[tuple[int, ...], int]) -> float:
         vals = []
@@ -496,7 +546,7 @@ def cov_traces_moment_oracle(
                 max(e.values())
             ):
                 continue
-            vals.append(coef * math.prod(mom(v) for v in e.values()))
+            vals.append(coef * math.prod(mom[v] for v in e.values()))
         return math.fsum(vals)
 
     prune = model.odd_moments_vanish(k1 + k2)
@@ -520,7 +570,7 @@ def cov_traces_moment_oracle(
                 merged = dict(e1)
                 for cid, v in e2.items():
                     merged[cid] = merged.get(cid, 0) + v
-                cross.append(c1 * c2 * math.prod(mom(v) for v in merged.values()))
+                cross.append(c1 * c2 * math.prod(mom[v] for v in merged.values()))
     exy = math.fsum(cross)
     ex, ey = expect(P1), expect(P2)
     if symmetry_class is SymmetryClass.DIII:
@@ -541,7 +591,12 @@ def cov_cheb_moment_oracle(
     cache: Optional[dict] = None,
     budget: int = 10**8,
 ) -> float:
-    """Cov(Tr T_m, Tr T_mu) assembled bilinearly from power covariances."""
+    """Cov(Tr T_m, Tr T_mu) assembled bilinearly from power covariances.
+
+    ``cache`` keeps the power covariances, keyed (j, k) with j <= k, and
+    the power-trace expansions, keyed ("trace", k); share one cache only
+    between calls with the same class, n and entry model.
+    """
     if sigma is None:
         sigma = model.sigma
     if cache is None:
@@ -557,8 +612,8 @@ def cov_cheb_moment_oracle(
                 continue
             key = (min(j, k), max(j, k))
             if key not in cache:
-                cache[key] = cov_traces_moment_oracle(
-                    symmetry_class, n, key[0], key[1], model, budget=budget
+                cache[key] = _power_covariance(
+                    symmetry_class, n, key[0], key[1], model, budget, cache
                 )
             terms.append(cm[j] * cmu[k] * sigma ** (m - j + mu - k) * cache[key])
     return math.fsum(terms)
@@ -595,22 +650,28 @@ def cov_report(
     partition_mode: str = "equality",
     budget: int = 10**8,
 ) -> CovReport:
-    """Exact value, limit, gap, and (for m >= 3) the per-element split."""
-    v_n = V_n_exact(symmetry_class, n, m, model, partition_mode, budget)
-    v_inf, flag = V_asymptotic(symmetry_class, m, model.sigma, model)
+    """Exact value, limit, gap, and (for m >= 3) the per-element split.
+
+    For m >= 3 one enumeration pass gives every per-element sign sum, and
+    v_n is the value of their total.
+    """
     per_g: list[PerGContribution] = []
-    if m >= 3:
+    if m < 3:
+        v_n = V_n_exact(symmetry_class, n, m, model, partition_mode, budget)
+    else:
+        sums = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+        v_n = _dihedral_value(symmetry_class, n, m, model, sum(sums.values()))
         dim = 2 * n
         unit = _pair_moment_unit(symmetry_class)
-        for g in dihedral_group(m):
-            ssum = _good_sign_sum(symmetry_class, n, m, g, partition_mode)
-            val = float(Fraction(ssum * unit**m, dim**m)) * model.sigma2**m
+        for g, ssum in sums.items():
+            val = _dihedral_value(symmetry_class, n, m, model, ssum)
             per_g.append(PerGContribution(str(g), g.kind, g.nu, ssum, val))
         # integer-level consistency with the reported total
         total = sum(t.sign_sum for t in per_g)
         assert (
             float(Fraction(total * unit**m, dim**m)) * model.sigma2**m == v_n
         )
+    v_inf, flag = V_asymptotic(symmetry_class, m, model.sigma, model)
     return CovReport(
         symmetry_class=symmetry_class,
         n=n,

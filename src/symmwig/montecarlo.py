@@ -82,6 +82,7 @@ class SimulationConfig:
             raise ValueError("sigma must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        self.model  # rejects an unknown family here, not inside a worker
 
     @property
     def model(self) -> EntryModel:

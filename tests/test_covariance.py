@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from symmwig.covariance import (
     MultiIndex,
     V_asymptotic,
     V_n_exact,
-    _good_sign_sum,
+    _good_sign_sums,
     cov_cheb_moment_oracle,
     cov_report,
     cov_traces_config_oracle,
@@ -107,20 +108,57 @@ def test_equality_mode_subsets_compatible():
     assert eq <= comp
 
 
+def _reference_sign_sums(cls, n, m):
+    """Literal sum of sign products over S^good(pi_g), for every g and both
+    partition modes, from one enumeration of the row pairs (p1, p2).
+
+    A pair is good for g in "compatible" mode when each row-one slot l
+    shares its class with row-two slot g(l), and in "equality" mode when
+    moreover the row-one classes are distinct: the rule of
+    good_multiindices, which the test below checks it against.
+    """
+    dim = 2 * n
+    hit = {
+        (p, q): class_of(cls, n, (p, q))
+        for p in range(1, dim + 1)
+        for q in range(1, dim + 1)
+    }
+    group = dihedral_group(m)
+    sums = {(g, mode): 0 for g in group for mode in ("equality", "compatible")}
+    members = {(g, mode): set() for g in group for mode in ("equality", "compatible")}
+    walks = list(itertools.product(range(1, dim + 1), repeat=m))
+    for p1, p2 in itertools.product(walks, walks):
+        hits = [hit[p[l], p[(l + 1) % m]] for p in (p1, p2) for l in range(m)]
+        if None in hits:
+            continue
+        one, two = [h[0] for h in hits[:m]], [h[0] for h in hits[m:]]
+        prod = math.prod(h[1] for h in hits)
+        modes = ("equality", "compatible") if len(set(one)) == m else ("compatible",)
+        for g in group:
+            if all(one[l] == two[g.perm[l] - 1] for l in range(m)):
+                for mode in modes:
+                    sums[g, mode] += prod
+                    members[g, mode].add((p1, p2))
+    return sums, members
+
+
 @pytest.mark.parametrize("cls", (DIII, CI))
 def test_chase_agrees_with_reference_enumeration(cls):
-    """The vectorized sign sum equals the literal per-multiindex sum."""
-    n, m = 3, 3
-    group = dihedral_group(m)
-    for g in (group[1], group[m]):  # one shift, one reflection
-        brute = 0
-        for P in good_multiindices(g, cls, n, m):
-            prod = 1
-            for row in P.rows:
-                for pair in row:
-                    prod *= class_of(cls, n, pair)[1]
-            brute += prod
-        assert _good_sign_sum(cls, n, m, g, "equality") == brute
+    """The one-pass sign sums (row one from index 0 only, scaled by 2n)
+    equal the literal per-multiindex sums for every g and both modes."""
+    for n, m in ((2, 3), (3, 3), (2, 4)):
+        want, members = _reference_sign_sums(cls, n, m)
+        group = dihedral_group(m)
+        # the enumeration above selects what good_multiindices selects
+        refl = group[m]
+        good = good_multiindices(refl, cls, n, m, "compatible")
+        assert {tuple(tuple(pair[0] for pair in row) for row in P.rows) for P in good} == (
+            members[refl, "compatible"]
+        )
+        for mode in ("equality", "compatible"):
+            got = _good_sign_sums(cls, n, m, mode)
+            assert list(got) == group
+            assert got == {g: want[g, mode] for g in group}
 
 
 # -- exact finite-n variance ---------------------------------------------------
@@ -245,6 +283,19 @@ def test_ci_t2_t4_covariance_is_zero():
     # CI cross covariance (2,4) cancels exactly at every size
     for n in (2, 3, 4):
         assert cov_cheb_moment_oracle(CI, n, 2, 4, GAUSS) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("n", (2, 3))
+def test_shared_oracle_cache_is_bit_equal(cls, n):
+    """Power covariances and power-trace expansions taken from a shared
+    cache give the same floats as a fresh cache per pair."""
+    pairs = [(2, 2), (2, 4), (4, 4), (3, 5), (4, 6), (6, 6)]
+    shared: dict = {}
+    for m, mu in pairs:
+        got = cov_cheb_moment_oracle(cls, n, m, mu, GAUSS, cache=shared)
+        assert got == cov_cheb_moment_oracle(cls, n, m, mu, GAUSS, cache={})
+    assert {k for k in shared if k[0] == "trace"} == {("trace", k) for k in range(1, 7)}
 
 
 def test_formula_approaches_oracle():

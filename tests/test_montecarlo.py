@@ -34,7 +34,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(CI, 4, parallelism=0)
     with pytest.raises(ValueError):
-        SimulationConfig(CI, 4, family="lognormal").model
+        SimulationConfig(CI, 4, family="lognormal")
     assert SimulationConfig("diii", 4).symmetry_class is DIII
 
 
