@@ -55,29 +55,34 @@ def cheb_coefficients(m: int, sigma: float) -> ChebSpec:
 def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
     """(Tr T_m(X, sigma))_{m=1..M} via the matrix recurrence.
 
-    Accepts a MatrixSample or a dense Hermitian ndarray.  Imaginary
-    residue beyond 1e-9 * dim signals broken Hermiticity and raises.
+    Accepts a MatrixSample, a dense Hermitian ndarray, or a stack of them
+    of shape (..., dim, dim), giving traces of shape (..., M).  Imaginary
+    residue beyond 1e-9 * dim in any trace signals broken Hermiticity and
+    raises.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    X = getattr(sample, "matrix", sample)
-    X = np.asarray(X)
-    dim = X.shape[0]
-    if X.shape != (dim, dim):
+    X = np.asarray(getattr(sample, "matrix", sample))
+    X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex: nxt below inherits it and is updated in place
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("matrix must be square")
-    out = np.empty(M, dtype=float)
-    prev = 2.0 * np.eye(dim, dtype=X.dtype)  # T_0
-    cur = X.copy()  # T_1
+    dim = X.shape[-1]
+    out = np.empty(X.shape[:-2] + (M,), dtype=float)
+    prev = 2.0 * np.eye(dim, dtype=X.dtype)  # T_0, broadcast over the stack
+    cur = X  # T_1; never written to
     tol = 1e-9 * dim
     for m in range(1, M + 1):
-        tr = complex(np.trace(cur))
-        if abs(tr.imag) > tol:
+        tr = np.trace(cur, axis1=-2, axis2=-1)
+        residue = np.max(np.abs(np.imag(tr)), initial=0.0)
+        if residue > tol:
             raise ValueError(
-                f"trace of degree {m} has imaginary part {tr.imag:.3e}; input not Hermitian"
+                f"trace of degree {m} has imaginary part {residue:.3e}; input not Hermitian"
             )
-        out[m - 1] = tr.real
+        out[..., m - 1] = np.real(tr)
         if m < M:
-            prev, cur = cur, X @ cur - (sigma * sigma) * prev
+            nxt = X @ cur
+            nxt -= (sigma * sigma) * prev  # in place: no fresh stack-sized buffer
+            prev, cur = cur, nxt
     return out

@@ -183,7 +183,10 @@ def _resolve(opts: Sequence[_Opt], ns: argparse.Namespace) -> dict:
 
 
 def _entry_model(family: str, sigma: Optional[float]) -> tuple[EntryModel, float]:
-    """Build the entry distribution; sigma defaults to the family's own scale."""
+    """Build the entry distribution; sigma defaults to the family's own scale.
+
+    Atom lists are only parsed here; EntryModel checks them.
+    """
     if family == "gaussian":
         s = 1.0 if sigma is None else sigma
         return EntryModel.gaussian(s * s), s
@@ -196,12 +199,6 @@ def _entry_model(family: str, sigma: Optional[float]) -> tuple[EntryModel, float
         if not sep:
             raise ValueError(f"bad atom {item!r} (want value:prob)")
         atoms.append((_to_float(v), _to_float(p)))
-    total = math.fsum(p for _, p in atoms)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-    mean = math.fsum(v * p for v, p in atoms)
-    if abs(mean) > 1e-9:
-        raise ValueError("atom distribution must be centered")
     model = EntryModel.from_atoms(atoms)
     s = model.sigma if sigma is None else sigma
     return model, s
@@ -268,78 +265,8 @@ def _emit(
 # ---------------------------------------------------------------------------
 # subcommands
 
-_OUT_OPT = _Opt("out", str, help="write the table here (plus .json/.manifest.json)")
 
-_OPTS: dict[str, list[_Opt]] = {
-    "classes": [
-        _Opt("class", _to_class, required=True, help="symmetry class, DIII or CI"),
-        _Opt("n", _to_int, required=True, help="half block size (matrices are 2n x 2n)"),
-        _OUT_OPT,
-    ],
-    "patterns": [
-        _Opt("m", _to_int, required=True, help="sequence length"),
-        _Opt(
-            "condition",
-            _choice(*PATTERN_CONDITIONS),
-            required=True,
-            help="chaining condition",
-        ),
-        _Opt("filter", _choice(*PATTERN_FILTERS), default="all", help="count filter"),
-        _Opt("first-delta", _to_delta, help="pin the first offset matrix, e.g. 01/10"),
-        _OUT_OPT,
-    ],
-    "variance": [
-        _Opt("class", _to_class, required=True),
-        _Opt("m", _to_int, required=True, help="Chebyshev degree"),
-        _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic"),
-        _Opt("n", _to_int, help="required for exact/oracle modes"),
-        _Opt("sigma", _to_float, help="entry scale (default 1)"),
-        _Opt("family", _to_family, default="gaussian"),
-        _Opt("budget", _to_int, help="enumeration budget override"),
-        _OUT_OPT,
-    ],
-    "oracle": [
-        _Opt("class", _to_class, required=True),
-        _Opt("n", _to_int, required=True),
-        _Opt("m", _to_int, required=True, help="first Chebyshev degree"),
-        _Opt("mu", _to_int, required=True, help="second Chebyshev degree"),
-        _Opt("kind", _choice(*ORACLE_KINDS), default="moment"),
-        _Opt("sigma", _to_float),
-        _Opt("family", _to_family, default="rademacher"),
-        _Opt("budget", _to_int),
-        _OUT_OPT,
-    ],
-    "simulate": [
-        _Opt("class", _to_class, required=True),
-        _Opt("n", _to_int, required=True),
-        _Opt("sigma", _to_float),
-        _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
-        _Opt("samples", _to_int, default=10_000),
-        _Opt("seed", _to_int, default=0),
-        _Opt("family", _choice("gaussian", "rademacher"), default="gaussian"),
-        _Opt("threads", _to_int, help="worker threads (default SYMMWIG_THREADS or 1)"),
-        _OUT_OPT,
-    ],
-    "traces": [
-        _Opt("class", _to_class, required=True),
-        _Opt("n", _to_int, required=True),
-        _Opt("seed", _to_int, default=0),
-        _Opt("sigma", _to_float),
-        _Opt("M", _to_int, default=6),
-        _Opt("family", _to_family, default="gaussian"),
-        _OUT_OPT,
-    ],
-}
-_OPTS["report"] = [o for o in _OPTS["simulate"] if o.name != "out"] + [
-    _Opt("z-max", _to_float, default=3.0, help="z threshold"),
-    _Opt("odd-ceiling", _to_float, default=0.5, help="variance ceiling, odd degrees"),
-    _Opt("rel-window", _to_float, default=0.10, help="finite-size allowance, even degrees"),
-    _OUT_OPT,
-]
-
-
-def _cmd_classes(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["classes"], ns)
+def _cmd_classes(values: dict) -> int:
     cls, n = values["class"], values["n"]
     rows = []
     for c in build_equivalence_classes(cls, n):
@@ -363,8 +290,7 @@ def _patterns_closed_form(m: int, condition: str, filt: str, pinned: bool) -> Op
     return None
 
 
-def _cmd_patterns(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["patterns"], ns)
+def _cmd_patterns(values: dict) -> int:
     m, condition, filt = values["m"], values["condition"], values["filter"]
     first = values["first-delta"]
     filter_name = None if filt == "all" else filt
@@ -377,8 +303,7 @@ def _cmd_patterns(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_variance(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["variance"], ns)
+def _cmd_variance(values: dict) -> int:
     cls, m, mode = values["class"], values["m"], values["mode"]
     model, sigma = _entry_model(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
@@ -400,8 +325,7 @@ def _cmd_variance(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["oracle"], ns)
+def _cmd_oracle(values: dict) -> int:
     cls, n, m, mu = values["class"], values["n"], values["m"], values["mu"]
     model, sigma = _entry_model(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
@@ -493,8 +417,7 @@ def _report_json(subcommand: str, config, result, report) -> dict:
     }
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["simulate"], ns)
+def _cmd_simulate(values: dict) -> int:
     config, result, theory = _simulation(values)
     report = clt_report(result, theory)
     rows = [
@@ -507,8 +430,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["report"], ns)
+def _cmd_report(values: dict) -> int:
     config, result, theory = _simulation(values)
     report = clt_report(
         result,
@@ -534,8 +456,7 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_traces(ns: argparse.Namespace) -> int:
-    values = _resolve(_OPTS["traces"], ns)
+def _cmd_traces(values: dict) -> int:
     model, sigma = _entry_model(values["family"], values["sigma"])
     sample = sample_matrix(values["class"], values["n"], model, values["seed"])
     traces = trace_cheb_vector(sample, values["M"], sigma)
@@ -544,24 +465,79 @@ def _cmd_traces(ns: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "classes": _cmd_classes,
-    "patterns": _cmd_patterns,
-    "variance": _cmd_variance,
-    "oracle": _cmd_oracle,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
-    "traces": _cmd_traces,
-}
+_OUT_OPT = _Opt("out", str, help="write the table here (plus .json/.manifest.json)")
 
-_DESCRIPTIONS = {
-    "classes": "list the signed entry equivalence classes",
-    "patterns": "count chained offset-matrix sequences against closed forms",
-    "variance": "finite-n or limiting variance of a Chebyshev trace",
-    "oracle": "exact covariance of two Chebyshev traces, by enumeration",
-    "simulate": "Monte Carlo trace statistics with theory comparison",
-    "report": "simulate, then grade against the limiting covariance",
-    "traces": "Chebyshev traces of a single sampled matrix",
+_SIMULATE_OPTS = [
+    _Opt("class", _to_class, required=True),
+    _Opt("n", _to_int, required=True),
+    _Opt("sigma", _to_float),
+    _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
+    _Opt("samples", _to_int, default=10_000),
+    _Opt("seed", _to_int, default=0),
+    _Opt("family", _choice("gaussian", "rademacher"), default="gaussian"),
+    _Opt("threads", _to_int, help="worker threads (default SYMMWIG_THREADS or 1)"),
+]
+
+# name -> (handler, description, options); handlers take the resolved values
+_SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
+    "classes": (_cmd_classes, "list the signed entry equivalence classes", [
+        _Opt("class", _to_class, required=True, help="symmetry class, DIII or CI"),
+        _Opt("n", _to_int, required=True, help="half block size (matrices are 2n x 2n)"),
+        _OUT_OPT,
+    ]),
+    "patterns": (_cmd_patterns, "count chained offset-matrix sequences against closed forms", [
+        _Opt("m", _to_int, required=True, help="sequence length"),
+        _Opt(
+            "condition",
+            _choice(*PATTERN_CONDITIONS),
+            required=True,
+            help="chaining condition",
+        ),
+        _Opt("filter", _choice(*PATTERN_FILTERS), default="all", help="count filter"),
+        _Opt("first-delta", _to_delta, help="pin the first offset matrix, e.g. 01/10"),
+        _OUT_OPT,
+    ]),
+    "variance": (_cmd_variance, "finite-n or limiting variance of a Chebyshev trace", [
+        _Opt("class", _to_class, required=True),
+        _Opt("m", _to_int, required=True, help="Chebyshev degree"),
+        _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic"),
+        _Opt("n", _to_int, help="required for exact/oracle modes"),
+        _Opt("sigma", _to_float, help="entry scale (default 1)"),
+        _Opt("family", _to_family, default="gaussian"),
+        _Opt("budget", _to_int, help="enumeration budget override"),
+        _OUT_OPT,
+    ]),
+    "oracle": (_cmd_oracle, "exact covariance of two Chebyshev traces, by enumeration", [
+        _Opt("class", _to_class, required=True),
+        _Opt("n", _to_int, required=True),
+        _Opt("m", _to_int, required=True, help="first Chebyshev degree"),
+        _Opt("mu", _to_int, required=True, help="second Chebyshev degree"),
+        _Opt("kind", _choice(*ORACLE_KINDS), default="moment"),
+        _Opt("sigma", _to_float),
+        _Opt("family", _to_family, default="rademacher"),
+        _Opt("budget", _to_int),
+        _OUT_OPT,
+    ]),
+    "simulate": (_cmd_simulate, "Monte Carlo trace statistics with theory comparison", [
+        *_SIMULATE_OPTS,
+        _OUT_OPT,
+    ]),
+    "traces": (_cmd_traces, "Chebyshev traces of a single sampled matrix", [
+        _Opt("class", _to_class, required=True),
+        _Opt("n", _to_int, required=True),
+        _Opt("seed", _to_int, default=0),
+        _Opt("sigma", _to_float),
+        _Opt("M", _to_int, default=6),
+        _Opt("family", _to_family, default="gaussian"),
+        _OUT_OPT,
+    ]),
+    "report": (_cmd_report, "simulate, then grade against the limiting covariance", [
+        *_SIMULATE_OPTS,
+        _Opt("z-max", _to_float, default=3.0, help="z threshold"),
+        _Opt("odd-ceiling", _to_float, default=0.5, help="variance ceiling, odd degrees"),
+        _Opt("rel-window", _to_float, default=0.10, help="finite-size allowance, even degrees"),
+        _OUT_OPT,
+    ]),
 }
 
 
@@ -577,13 +553,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="symmwig", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"symmwig {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name, opts in _OPTS.items():
-        sub = subs.add_parser(name, description=_DESCRIPTIONS[name])
+    for name, (_, description, opts) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, description=description)
         sub.add_argument("--config", help="key=value file; flags override it")
         for opt in opts:
             extra = " (required)" if opt.required else ""
             sub.add_argument(f"--{opt.name}", type=str, help=opt.help + extra)
-        sub.set_defaults(handler=_HANDLERS[name])
     return parser
 
 
@@ -594,8 +569,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    handler, _, opts = _SUBCOMMANDS[ns.subcommand]
     try:
-        return ns.handler(ns)
+        return handler(_resolve(opts, ns))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,11 +31,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .chebyshev import cheb_coefficients
+from .chebyshev import cheb_coefficients, trace_cheb_vector
 from .ensemble import (
     EntryModel,
     IndexPair,
     SymmetryClass,
+    block_layout,
     build_equivalence_classes,
     class_of,
     class_tables,
@@ -362,26 +363,6 @@ def V_asymptotic(
 
 # -- configuration oracle ------------------------------------------------------
 
-def _cheb_trace_pair(X: np.ndarray, sigma: float, m: int, mu: int):
-    """Traces of the degree-m and degree-mu polynomials of each matrix in
-    the batch, by the full three-term matrix recurrence (no shortcuts:
-    this is the ground-truth path)."""
-    B, d, _ = X.shape
-    eye = np.broadcast_to(np.eye(d, dtype=X.dtype), X.shape)
-    want = {m: None, mu: None}
-    prev = 2.0 * eye.copy()  # degree 0
-    cur = X  # degree 1
-    if 0 in want:
-        raise ValueError("degrees must be >= 1")
-    for deg in range(1, max(m, mu) + 1):
-        if deg >= 2:
-            prev, cur = cur, X @ cur - sigma**2 * prev
-        if deg in want:
-            tr = np.einsum("bii->b", cur)
-            want[deg] = tr.real if np.iscomplexobj(tr) else tr
-    return want[m], want[mu]
-
-
 def cov_traces_config_oracle(
     symmetry_class: SymmetryClass,
     n: int,
@@ -405,23 +386,15 @@ def cov_traces_config_oracle(
         raise ValueError("degrees must be >= 1")
     if sigma is None:
         sigma = model.sigma
-    classes = build_equivalence_classes(symmetry_class, n)
-    nc = len(classes)
+    layout = block_layout(symmetry_class, n)
+    nc = layout.n_classes
     A = len(atoms)
     n_cfg = A**nc
     if n_cfg > budget:
         raise BudgetError(f"{A}^{nc} configurations exceed budget {budget}")
 
-    dim = 2 * n
-    cls_id, sign = class_tables(symmetry_class, n)
-    mask = (cls_id >= 0).ravel()
-    flat_pos = np.nonzero(mask)[0]
-    cid_flat = cls_id.ravel()[flat_pos]
-    sign_flat = sign.ravel()[flat_pos].astype(np.float64)
     values = np.array([v for v, _ in atoms])
     probs = np.array([p for _, p in atoms])
-    unit = 1j if symmetry_class is SymmetryClass.DIII else 1.0
-    scale = 1.0 / math.sqrt(dim)
 
     sx, sy, sxy = [], [], []
     for lo in range(0, n_cfg, chunk):
@@ -432,11 +405,10 @@ def cov_traces_config_oracle(
             digits[:, c] = rem % A
             rem //= A
         w = probs[digits].prod(axis=1)
-        draws = values[digits]  # (B, nc)
-        W = np.zeros((len(idx), dim * dim))
-        W[:, flat_pos] = sign_flat * draws[:, cid_flat]
-        X = (unit * scale) * W.reshape(len(idx), dim, dim)
-        tx, ty = _cheb_trace_pair(X, sigma, m, mu)
+        X = (layout.unit / math.sqrt(layout.dim)) * layout.assemble(values[digits])
+        t = trace_cheb_vector(X, max(m, mu), sigma)
+        tx = np.ascontiguousarray(t[:, m - 1])
+        ty = np.ascontiguousarray(t[:, mu - 1])
         sx.append(float(np.dot(w, tx)))
         sy.append(float(np.dot(w, ty)))
         sxy.append(float(np.dot(w, tx * ty)))
@@ -560,18 +532,20 @@ def _power_covariance(
         return g
 
     g1, g2 = grouped(P1), grouped(P2)
-    cross = []
-    for sig, lst1 in g1.items():
-        lst2 = g2.get(sig)
-        if not lst2:
-            continue
-        for c1, e1 in lst1:
-            for c2, e2 in lst2:
-                merged = dict(e1)
-                for cid, v in e2.items():
-                    merged[cid] = merged.get(cid, 0) + v
-                cross.append(c1 * c2 * math.prod(mom[v] for v in merged.values()))
-    exy = math.fsum(cross)
+
+    def cross_terms():
+        for sig, lst1 in g1.items():
+            lst2 = g2.get(sig)
+            if not lst2:
+                continue
+            for c1, e1 in lst1:
+                for c2, e2 in lst2:
+                    merged = dict(e1)
+                    for cid, v in e2.items():
+                        merged[cid] = merged.get(cid, 0) + v
+                    yield c1 * c2 * math.prod(mom[v] for v in merged.values())
+
+    exy = math.fsum(cross_terms())
     ex, ey = expect(P1), expect(P2)
     if symmetry_class is SymmetryClass.DIII:
         unit = (-1.0) ** ((k1 + k2) // 2)

@@ -23,6 +23,8 @@ __all__ = [
     "EquivClass",
     "EntryModel",
     "MatrixSample",
+    "BlockLayout",
+    "block_layout",
     "build_equivalence_classes",
     "class_of",
     "class_tables",
@@ -72,9 +74,10 @@ class EquivClass:
         return len(self.members)
 
 
-# Member layouts relative to base (a, b), a <= b.  Each entry is
-# (p_offset_block, use_b_first) encoded explicitly below instead; signs
-# are derived from Hermiticity plus the block relations and are verified
+# Sign of each member relative to the representative, in the member order
+# of _members_c1/_members_c2 (off-diagonal classes, a < b); _DIAG_SIGNS
+# does the same for the two members of a CI diagonal class.  The signs
+# follow from Hermiticity plus the block relations and are verified
 # exhaustively in the test suite.
 _SIGNS = {
     (SymmetryClass.DIII, "C1"): (1, -1, -1, 1),
@@ -198,13 +201,15 @@ class EntryModel:
     atoms: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if self.family not in ("gaussian", "rademacher", "atoms"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "atoms":
             if not self.atoms:
                 raise ValueError("atoms family requires an atom list")
+            if not all(math.isfinite(x) for atom in self.atoms for x in atom):
+                raise ValueError("atom values and probabilities must be finite")
             probs = [p for _, p in self.atoms]
             if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
                 raise ValueError("atom probabilities must be nonnegative and sum to 1")
@@ -280,7 +285,6 @@ class MatrixSample:
     model: EntryModel
     seed: int
     matrix: np.ndarray = field(repr=False)
-    draws: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -296,22 +300,58 @@ def derive_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """Where the class draws land in the 2n x 2n matrix.
+
+    Flat entry positions[k] holds signs[k] * draw[class_ids[k]]; every
+    other entry is forced to zero.  The normalized sample is
+    unit * assemble(draws) / sqrt(dim), unit being i for DIII and 1 for CI.
+    """
+
+    dim: int
+    n_classes: int
+    unit: complex
+    positions: np.ndarray = field(repr=False)
+    class_ids: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+
+    def assemble(self, draws: np.ndarray) -> np.ndarray:
+        """Signed real W of shape (..., dim, dim) from draws (..., n_classes)."""
+        if draws.shape[-1] != self.n_classes:
+            raise ValueError(f"expected {self.n_classes} class draws, got {draws.shape[-1]}")
+        lead = draws.shape[:-1]
+        W = np.zeros(lead + (self.dim * self.dim,))
+        W[..., self.positions] = self.signs * draws[..., self.class_ids]
+        return W.reshape(lead + (self.dim, self.dim))
+
+
+def block_layout(symmetry_class: SymmetryClass, n: int) -> BlockLayout:
+    """Flat scatter tables from the class draws of (symmetry_class, n) to
+    the entries of the 2n x 2n matrix; built from ``class_tables``."""
+    cls_id, sign = class_tables(symmetry_class, n)
+    positions = np.flatnonzero(cls_id >= 0)
+    class_ids = cls_id.ravel()[positions]
+    return BlockLayout(
+        dim=2 * n,
+        n_classes=int(class_ids.max()) + 1,
+        unit=1j if symmetry_class is SymmetryClass.DIII else 1.0,
+        positions=positions,
+        class_ids=class_ids,
+        signs=sign.ravel()[positions].astype(float),
+    )
+
+
 def sample_matrix(
     symmetry_class: SymmetryClass, n: int, model: EntryModel, seed: int
 ) -> MatrixSample:
     """One normalized Hermitian draw; deterministic given the seed."""
-    classes = build_equivalence_classes(symmetry_class, n)
-    rng = derive_rng(seed)
-    draws = model.draw(rng, len(classes))
-    cls_id, sign = class_tables(symmetry_class, n)
-    dim = 2 * n
-    unit = 1j if symmetry_class is SymmetryClass.DIII else 1.0
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    mask = cls_id >= 0
-    matrix[mask] = sign[mask] * (unit * draws[cls_id[mask]]) / math.sqrt(dim)
+    layout = block_layout(symmetry_class, n)
+    draws = model.draw(derive_rng(seed), layout.n_classes)
+    W = layout.assemble(draws)
+    matrix = (layout.unit * W / math.sqrt(layout.dim)).astype(np.complex128)
     return MatrixSample(
-        symmetry_class=symmetry_class, n=n, model=model, seed=seed,
-        matrix=matrix, draws=draws,
+        symmetry_class=symmetry_class, n=n, model=model, seed=seed, matrix=matrix,
     )
 
 

@@ -33,9 +33,10 @@ except ImportError:  # pragma: no cover - dependency is declared
 
 from .covariance import V_asymptotic
 from .ensemble import (
+    BlockLayout,
     EntryModel,
     SymmetryClass,
-    class_tables,
+    block_layout,
     derive_rng,
 )
 
@@ -124,12 +125,6 @@ class MomentAccumulator:
         self.s4 += (t2 * t2).sum(axis=0)
         self.cross += t.T @ t
 
-    def copy(self) -> "MomentAccumulator":
-        return MomentAccumulator(
-            self.M, self.count, self.s1.copy(), self.s2.copy(),
-            self.s3.copy(), self.s4.copy(), self.cross.copy(),
-        )
-
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combine two accumulators; equals accumulating both streams."""
@@ -172,30 +167,17 @@ class SimulationResult:
 # -- trace evaluation ----------------------------------------------------------
 
 
-def _scatter_layout(symmetry_class: SymmetryClass, n: int):
-    cls_id, sign = class_tables(symmetry_class, n)
-    mask = (cls_id >= 0).ravel()
-    flat_pos = np.nonzero(mask)[0]
-    cid_flat = cls_id.ravel()[flat_pos]
-    n_classes = int(cid_flat.max()) + 1
-    return flat_pos, cid_flat, sign.ravel()[flat_pos].astype(float), n_classes
-
-
 def _trace_vectors(
     symmetry_class: SymmetryClass,
     draws: np.ndarray,
-    n: int,
     sigma: float,
     M: int,
-    layout,
+    layout: BlockLayout,
 ) -> np.ndarray:
-    """(batch, M) traces of T_1..T_M at each scattered sample."""
-    flat_pos, cid_flat, sign_flat, _ = layout
-    dim = 2 * n
+    """(batch, M) traces of T_1..T_M at each assembled sample."""
+    dim = layout.dim
     B = draws.shape[0]
-    W = np.zeros((B, dim * dim))
-    W[:, flat_pos] = sign_flat * draws[:, cid_flat]
-    W = W.reshape(B, dim, dim)
+    W = layout.assemble(draws)
     WW = np.matmul(W, W)
     # X = i W / sqrt(dim) or W / sqrt(dim); either way Y = X^2 is real
     Y = (-WW if symmetry_class is SymmetryClass.DIII else WW) / dim
@@ -220,16 +202,14 @@ def _trace_vectors(
 
 
 def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
-               layout) -> MomentAccumulator:
+               layout: BlockLayout) -> MomentAccumulator:
     lo, hi = bounds
     acc = MomentAccumulator(config.M)
     if hi <= lo:
         return acc
     rng = derive_rng(config.seed, (block,))
-    draws = config.model.draw(rng, (hi - lo, layout[3]))
-    t = _trace_vectors(
-        config.symmetry_class, draws, config.n, config.sigma, config.M, layout
-    )
+    draws = config.model.draw(rng, (hi - lo, layout.n_classes))
+    t = _trace_vectors(config.symmetry_class, draws, config.sigma, config.M, layout)
     acc.add_batch(t)
     return acc
 
@@ -242,7 +222,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     blocks in index order, so thread scheduling cannot affect the output.
     """
     t0 = time.monotonic()
-    layout = _scatter_layout(config.symmetry_class, config.n)
+    layout = block_layout(config.symmetry_class, config.n)
     N = config.samples
     B = min(N_BLOCKS, N)
     base, extra = divmod(N, B)

@@ -73,6 +73,13 @@ def test_accepts_plain_ndarray():
     assert np.allclose(traces, want, atol=1e-14)
 
 
+def test_accepts_integer_matrix():
+    """The recurrence updates its iterate in place, so integer input is
+    promoted to float first."""
+    X = [[0, 1], [1, 0]]
+    assert np.array_equal(trace_cheb_vector(X, 4, 0.5), trace_cheb_vector(np.array(X, float), 4, 0.5))
+
+
 def test_broken_hermiticity_detected():
     X = np.array([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
     with pytest.raises(ValueError):
@@ -89,3 +96,28 @@ def test_identity_property(m, sigma, theta):
     got = cheb_coefficients(m, sigma).evaluate(2 * sigma * math.cos(theta))
     want = 2 * sigma**m * math.cos(m * theta)
     assert abs(got - want) <= 1e-11 * max(1.0, (2 * sigma) ** m)
+
+
+@pytest.mark.parametrize("cls", (SymmetryClass.DIII, SymmetryClass.CI))
+def test_stack_equals_per_matrix_calls(cls):
+    stack = np.stack(
+        [sample_matrix(cls, 4, EntryModel.gaussian(), seed=s).matrix for s in range(6)]
+    ).reshape(2, 3, 8, 8)
+    got = trace_cheb_vector(stack, 6, 0.8)
+    assert got.shape == (2, 3, 6)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], trace_cheb_vector(stack[idx], 6, 0.8))
+
+
+def test_stack_with_one_non_hermitian_member_raises():
+    stack = np.stack([np.diag([0.3, -0.3]), np.diag([0.3, -0.3])]).astype(complex)
+    trace_cheb_vector(stack, 4, 1.0)
+    stack[1] += 1j * np.eye(2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_cheb_vector(stack, 4, 1.0)
+
+
+@pytest.mark.parametrize("shape", ((3,), (2, 3), (4, 2, 3)))
+def test_non_square_rejected(shape):
+    with pytest.raises(ValueError, match="square"):
+        trace_cheb_vector(np.zeros(shape), 3, 1.0)

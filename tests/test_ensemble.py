@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symmwig.ensemble import (
     EntryModel,
     SymmetryClass,
+    block_layout,
     build_equivalence_classes,
     class_of,
     class_tables,
@@ -187,3 +188,37 @@ def test_sample_invariants_property(cls, n, seed):
     assert np.array_equal(np.diag(X)[:n], -np.diag(X)[n:])
     assert np.array_equal(X[n:, n:], -X[:n, :n])
     assert np.array_equal(X[:n, n:], X[n:, :n])
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_block_layout_assembles_batches_row_by_row(cls):
+    layout = block_layout(cls, 4)
+    draws = EntryModel.gaussian().draw(derive_rng(5), (7, layout.n_classes))
+    W = layout.assemble(draws)
+    assert W.shape == (7, layout.dim, layout.dim)
+    for b in range(7):
+        assert np.array_equal(W[b], layout.assemble(draws[b]))
+    with pytest.raises(ValueError):
+        layout.assemble(draws[:, 1:])
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    (
+        ([(-1.0, 0.5), (1.0, 0.4)], "sum to 1"),
+        ([(-1.0, 1.5), (1.0, -0.5)], "nonnegative"),
+        ([(-1.0, 0.25), (1.0, 0.75)], "centered"),
+        ([(float("nan"), 1.0)], "finite"),
+        ([(-1.0, float("nan")), (1.0, 0.5)], "finite"),
+        ([(0.0, 1.0)], "positive"),
+    ),
+)
+def test_entry_model_rejects_bad_atoms(atoms, message):
+    with pytest.raises(ValueError, match=message):
+        EntryModel.from_atoms(atoms)
+
+
+@pytest.mark.parametrize("sigma2", (0.0, -1.0, float("nan"), float("inf")))
+def test_entry_model_rejects_bad_scale(sigma2):
+    with pytest.raises(ValueError, match="sigma2"):
+        EntryModel.gaussian(sigma2)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from symmwig.chebyshev import trace_cheb_vector
-from symmwig.ensemble import EntryModel, SymmetryClass, derive_rng
+from symmwig.ensemble import EntryModel, SymmetryClass, block_layout, derive_rng
 from symmwig.montecarlo import (
     N_BLOCKS,
     MomentAccumulator,
     SimulationConfig,
     SimulationResult,
-    _scatter_layout,
     _trace_vectors,
     clt_report,
     estimate_cumulants,
@@ -43,16 +42,13 @@ def test_config_validation():
 def test_trace_path_matches_literal_recurrence(cls, sigma):
     """The even-only batched path equals the full matrix recurrence."""
     n, M, B = 3, 6, 10
-    layout = _scatter_layout(cls, n)
+    layout = block_layout(cls, n)
     rng = derive_rng(99, (0,))
-    draws = EntryModel.gaussian().draw(rng, (B, layout[3]))
-    got = _trace_vectors(cls, draws, n, sigma, M, layout)
-    dim = 2 * n
-    unit = 1j if cls is DIII else 1.0
+    draws = EntryModel.gaussian().draw(rng, (B, layout.n_classes))
+    got = _trace_vectors(cls, draws, sigma, M, layout)
+    dim = layout.dim
     for b in range(B):
-        W = np.zeros(dim * dim)
-        W[layout[0]] = layout[2] * draws[b][layout[1]]
-        X = unit * W.reshape(dim, dim) / math.sqrt(dim)
+        X = layout.unit * layout.assemble(draws[b]) / math.sqrt(dim)
         want = trace_cheb_vector(X, M, sigma)
         for m in range(1, M + 1):
             if m % 2 == 1:
@@ -228,12 +224,12 @@ DIII_64 = SimulationConfig(DIII, 64, samples=2000, seed=20260819, M=6)
 def diii_64_traces():
     """Per-block trace vectors, drawn from the seed streams run_simulation uses."""
     cfg = DIII_64
-    layout = _scatter_layout(DIII, cfg.n)
+    layout = block_layout(DIII, cfg.n)
     per = cfg.samples // N_BLOCKS
     return [
         _trace_vectors(
-            DIII, cfg.model.draw(derive_rng(cfg.seed, (b,)), (per, layout[3])),
-            cfg.n, cfg.sigma, cfg.M, layout,
+            DIII, cfg.model.draw(derive_rng(cfg.seed, (b,)), (per, layout.n_classes)),
+            cfg.sigma, cfg.M, layout,
         )
         for b in range(N_BLOCKS)
     ]
