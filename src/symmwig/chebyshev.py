@@ -7,6 +7,7 @@ recurrence on two running matrices; no eigendecomposition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ def _coeff_rows(m: int) -> list[tuple[int, ...]]:
 def cheb_coefficients(m: int, sigma: float) -> ChebSpec:
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     return ChebSpec(m=m, sigma=sigma, coeffs=_coeff_rows(m)[m])
 
 
@@ -62,8 +63,8 @@ def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     X = np.asarray(getattr(sample, "matrix", sample))
     X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex: nxt below inherits it and is updated in place
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:

@@ -14,10 +14,13 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .chebyshev import trace_cheb_vector
@@ -29,7 +32,13 @@ from .covariance import (
     cov_traces_config_oracle,
 )
 from .ensemble import EntryModel, SymmetryClass, build_equivalence_classes, sample_matrix
-from .montecarlo import SimulationConfig, clt_report, run_simulation, theory_vector
+from .montecarlo import (
+    SimulationConfig,
+    clt_report,
+    run_simulation,
+    theory_vector,
+    threadpool_limits,
+)
 from .patterns import DeltaMatrix, enumerate_delta_sequences
 
 SCHEMA = "symmwig/1"
@@ -54,6 +63,7 @@ class RunManifest:
     seed: Optional[int]
     version: str
     timestamp: str
+    environment: dict
 
     def to_json(self) -> dict:
         return {
@@ -63,7 +73,21 @@ class RunManifest:
             "seed": self.seed,
             "version": self.version,
             "timestamp": self.timestamp,
+            "environment": self.environment,
         }
+
+
+def _environment() -> dict:
+    """Python, numpy and BLAS behind a run, and whether run_simulation pins
+    BLAS to one thread (it can only when threadpoolctl imports)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_pinned": threadpool_limits is not None,
+    }
 
 
 def _fmt(value) -> str:
@@ -187,6 +211,8 @@ def _entry_model(family: str, sigma: Optional[float]) -> tuple[EntryModel, float
 
     Atom lists are only parsed here; EntryModel checks them.
     """
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if family == "gaussian":
         s = 1.0 if sigma is None else sigma
         return EntryModel.gaussian(s * s), s
@@ -256,6 +282,7 @@ def _emit(
         seed=seed,
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        environment=_environment(),
     )
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_json(), fh, indent=2)

@@ -431,6 +431,9 @@ def _power_trace_monomials(
     if dim**k > budget:
         raise BudgetError(f"{dim}^{k} walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
+    n_classes = int(cls_id.max()) + 1
+    if n_classes**k >= 2**63:
+        raise BudgetError(f"{n_classes}^{k} monomial keys exceed int64")
     grids = np.meshgrid(*([np.arange(dim)] * k), indexing="ij")
     walk = np.stack([gr.ravel() for gr in grids], axis=1).astype(np.int32)
     c = np.empty_like(walk)
@@ -443,14 +446,18 @@ def _power_trace_monomials(
         s *= sign[pl, ql]
     c = np.sort(c[valid], axis=1)
     s = s[valid]
+    # one int64 per sorted row, base n_classes with the first id most
+    # significant: numeric order is the lexicographic order of the rows
+    code = np.zeros(len(c), dtype=np.int64)
+    for l in range(k):
+        code = code * n_classes + c[:, l]
+    uniq, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inv, s)
     out: dict[tuple[int, ...], int] = {}
-    if len(c):
-        uniq, inv = np.unique(c, axis=0, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, s)
-        for row, coef in zip(uniq, sums):
-            if coef:
-                out[tuple(int(x) for x in row)] = int(coef)
+    for row, coef in zip(c[first].tolist(), sums.tolist()):
+        if coef:
+            out[tuple(row)] = coef
     return out
 
 

@@ -304,41 +304,43 @@ def derive_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
 class BlockLayout:
     """Where the class draws land in the 2n x 2n matrix.
 
-    Flat entry positions[k] holds signs[k] * draw[class_ids[k]]; every
-    other entry is forced to zero.  The normalized sample is
-    unit * assemble(draws) / sqrt(dim), unit being i for DIII and 1 for CI.
+    Flat entry k is gathered from ext = [draws, -draws, 0] at gather[k]:
+    the class id where the sign is +1, id + n_classes where it is -1, and
+    2 * n_classes where the entry is forced to zero.  The normalized sample
+    is unit * assemble(draws) / sqrt(dim), unit being i for DIII and 1 for CI.
     """
 
     dim: int
     n_classes: int
     unit: complex
-    positions: np.ndarray = field(repr=False)
-    class_ids: np.ndarray = field(repr=False)
-    signs: np.ndarray = field(repr=False)
+    gather: np.ndarray = field(repr=False)
 
-    def assemble(self, draws: np.ndarray) -> np.ndarray:
-        """Signed real W of shape (..., dim, dim) from draws (..., n_classes)."""
+    def assemble(self, draws: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Signed real W of shape (..., dim, dim) from draws (..., n_classes),
+        gathered into ``out`` (C-contiguous, that shape) when it is given."""
         if draws.shape[-1] != self.n_classes:
             raise ValueError(f"expected {self.n_classes} class draws, got {draws.shape[-1]}")
         lead = draws.shape[:-1]
-        W = np.zeros(lead + (self.dim * self.dim,))
-        W[..., self.positions] = self.signs * draws[..., self.class_ids]
+        ext = np.concatenate([draws, -draws, np.zeros(lead + (1,))], axis=-1)
+        flat = None if out is None else out.reshape(lead + (self.dim * self.dim,))
+        # every index is in range by construction; "clip" skips the bounds
+        # check and lets np.take write straight into ``flat``
+        W = np.take(ext, self.gather, axis=-1, out=flat, mode="clip")
         return W.reshape(lead + (self.dim, self.dim))
 
 
 def block_layout(symmetry_class: SymmetryClass, n: int) -> BlockLayout:
-    """Flat scatter tables from the class draws of (symmetry_class, n) to
+    """Signed gather index from the class draws of (symmetry_class, n) to
     the entries of the 2n x 2n matrix; built from ``class_tables``."""
     cls_id, sign = class_tables(symmetry_class, n)
-    positions = np.flatnonzero(cls_id >= 0)
-    class_ids = cls_id.ravel()[positions]
+    n_classes = int(cls_id.max()) + 1
+    gather = np.where(sign < 0, cls_id + n_classes, cls_id)
+    gather[cls_id < 0] = 2 * n_classes
     return BlockLayout(
         dim=2 * n,
-        n_classes=int(class_ids.max()) + 1,
+        n_classes=n_classes,
         unit=1j if symmetry_class is SymmetryClass.DIII else 1.0,
-        positions=positions,
-        class_ids=class_ids,
-        signs=sign.ravel()[positions].astype(float),
+        gather=gather.ravel().astype(np.intp),
     )
 
 

@@ -8,11 +8,20 @@ may compute them in any order, and the reduction always merges them in
 index order, so the result is bit-identical at any parallelism level.
 The blocks double as jackknife resamples for the standard errors.
 
-Traces are computed from the half recurrence in Y = X^2: both symmetry
-classes are conjugation-odd (J X J^{-1} = -X), so odd-degree traces vanish
-sample-wise and are emitted as exact zeros, while even degrees satisfy
-T_{2j+2} = (Y - 2 sigma^2) T_{2j} - sigma^4 T_{2j-2} with only real
-arithmetic in either class.
+Both symmetry classes are conjugation-odd (J X J^{-1} = -X), so odd-degree
+traces vanish sample-wise and are emitted as exact zeros.  Every even T_{2j}
+is a real symmetric polynomial in Y = X^2, in either class.  The product
+rule T_a T_b = T_{a+b} + sigma^{2b} T_{a-b} (a >= b >= 1, T_0 = 2I) then
+gives Tr T_{a+b} = <T_a, T_b>_F - sigma^{2b} Tr T_{a-b}, since the trace
+of a product of symmetric matrices is their Frobenius inner product.  So
+only T_2, ..., T_{2h}, h = ceil(M/4), are formed as matrices (one matmul
+each, T_{2j+2} = T_2 T_{2j} - sigma^4 T_{2j-2}), and every even trace up
+to M takes one Frobenius product beyond them.
+
+Each block is walked in sub-batches of SUB_BATCH_ENTRIES matrix entries per
+stack, drawn one after another from the block's own generator.  Gaussian
+and Rademacher draws are chunk-invariant, so the sample stream is the one a
+block-wide draw would give, and memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ __all__ = [
 ]
 
 N_BLOCKS = 100  # fixed work/seed/jackknife unit
+SUB_BATCH_ENTRIES = 2**16  # matrix entries per stack in one kernel call
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,8 @@ class SimulationConfig:
             raise ValueError("M must be >= 1")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.model  # rejects an unknown family here, not inside a worker
@@ -173,44 +183,84 @@ def _trace_vectors(
     sigma: float,
     M: int,
     layout: BlockLayout,
+    work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """(batch, M) traces of T_1..T_M at each assembled sample."""
+    """(batch, M) traces of T_1..T_M at each assembled sample.
+
+    ``work`` is scratch from ``_workspace`` for at least batch rows; the
+    matrix stacks are built in it, and allocated here when it is None.
+    """
     dim = layout.dim
     B = draws.shape[0]
-    W = layout.assemble(draws)
-    WW = np.matmul(W, W)
-    # X = i W / sqrt(dim) or W / sqrt(dim); either way Y = X^2 is real
-    Y = (-WW if symmetry_class is SymmetryClass.DIII else WW) / dim
     out = np.zeros((B, M))
     if M < 2:
         return out
+    h = -(-M // 4)
+    if work is None:
+        work = _workspace(M, B, dim)
+    stacks = work[:, :B]
     s2 = sigma * sigma
-    eye = np.eye(dim)
-    A = Y - 2.0 * s2 * eye  # degree-2 polynomial of X
-    prev = None  # matrix T_0 = 2I handled implicitly on first step
-    cur = A
-    out[:, 1] = np.einsum("bii->b", cur)
-    for deg in range(4, M + 1, 2):
-        nxt = np.matmul(A, cur)
-        if prev is None:
-            nxt -= (s2 * s2 * 2.0) * eye  # sigma^4 * T_0
+    W = layout.assemble(draws, out=stacks[0])
+    # X = i W / sqrt(dim) or W / sqrt(dim); either way Y = X^2 is real
+    # symmetric, and T_2 = Y - 2 sigma^2 I is formed in place
+    T2 = np.matmul(W, W, out=stacks[1])
+    T2 *= (-1.0 if symmetry_class is SymmetryClass.DIII else 1.0) / dim
+    _diagonal(T2)[...] -= 2.0 * s2
+    # even[j] is T_{2j} for j = 1..h; T_4 overwrites W, which is spent
+    even = [None, T2]
+    for j in range(2, h + 1):
+        nxt = np.matmul(T2, even[j - 1], out=stacks[0 if j == 2 else j - 1])
+        if j == 2:
+            _diagonal(nxt)[...] -= 2.0 * s2 * s2  # sigma^4 * T_0
         else:
-            nxt -= (s2 * s2) * prev
-        prev, cur = cur, nxt
-        out[:, deg - 1] = np.einsum("bii->b", cur)
+            nxt -= (s2 * s2) * even[j - 2]
+        even.append(nxt)
+    for d in range(1, M // 2 + 1):
+        if d <= h:
+            out[:, 2 * d - 1] = np.einsum("bii->b", even[d])
+        else:
+            # Tr T_{a+b} = <T_a, T_b>_F - sigma^{2b} Tr T_{a-b}, a = 2h, b = 2d - 2h
+            a, b = 2 * h, 2 * d - 2 * h
+            low = 2.0 * dim if a == b else out[:, a - b - 1]  # Tr T_0 = 2 dim
+            frob = np.einsum("bij,bij->b", even[h], even[d - h])
+            out[:, 2 * d - 1] = frob - s2**b * low
     return out
+
+
+def _workspace(M: int, rows: int, dim: int) -> np.ndarray:
+    """Scratch for ``_trace_vectors``: max(2, ceil(M/4)) stacks of rows
+    dim x dim matrices, reused across sub-batches (fresh stacks per
+    sub-batch cost page faults at every allocation)."""
+    return np.empty((max(2, -(-M // 4)), rows, dim, dim))
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (batch, dim, dim) stack."""
+    dim = stack.shape[-1]
+    return stack.reshape(stack.shape[0], dim * dim)[:, :: dim + 1]
 
 
 def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
                layout: BlockLayout) -> MomentAccumulator:
     lo, hi = bounds
     acc = MomentAccumulator(config.M)
-    if hi <= lo:
-        return acc
     rng = derive_rng(config.seed, (block,))
-    draws = config.model.draw(rng, (hi - lo, layout.n_classes))
-    t = _trace_vectors(config.symmetry_class, draws, config.sigma, config.M, layout)
-    acc.add_batch(t)
+    # Every stack holds at most SUB_BATCH_ENTRIES entries: the matrix stacks
+    # of one kernel call, and the trace vectors of one add_batch.  A block
+    # that fits one add_batch accumulates in the same order as an unsplit one.
+    rows = max(1, SUB_BATCH_ENTRIES // layout.dim**2)
+    per_add = max(1, SUB_BATCH_ENTRIES // config.M)
+    work = _workspace(config.M, min(rows, hi - lo), layout.dim)
+    for add_lo in range(lo, hi, per_add):
+        t = np.empty((min(per_add, hi - add_lo), config.M))
+        for start in range(0, len(t), rows):
+            # Gaussian and Rademacher draws are chunk-invariant: consecutive
+            # sub-batches read the stream one block-wide draw would read
+            draws = config.model.draw(rng, (min(rows, len(t) - start), layout.n_classes))
+            t[start:start + len(draws)] = _trace_vectors(
+                config.symmetry_class, draws, config.sigma, config.M, layout, work
+            )
+        acc.add_batch(t)
     return acc
 
 

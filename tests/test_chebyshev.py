@@ -121,3 +121,11 @@ def test_stack_with_one_non_hermitian_member_raises():
 def test_non_square_rejected(shape):
     with pytest.raises(ValueError, match="square"):
         trace_cheb_vector(np.zeros(shape), 3, 1.0)
+
+
+@pytest.mark.parametrize("sigma", (0.0, -1.0, float("nan"), float("inf")))
+def test_non_finite_or_non_positive_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        cheb_coefficients(2, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        trace_cheb_vector(np.eye(2), 2, sigma)

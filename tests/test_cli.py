@@ -255,3 +255,33 @@ def test_bad_atoms_rejected(capsys):
     )
     assert code == 1
     assert "sum" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("traces", "--class", "CI", "--n", "2"),
+        ("variance", "--class", "CI", "--m", "4", "--mode", "asymptotic"),
+        ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3"),
+    ),
+)
+@pytest.mark.parametrize("sigma", ("nan", "inf", "-1"))
+def test_bad_sigma_rejected_with_atoms(capsys, argv, sigma):
+    """An atoms family takes its scale from --sigma, which EntryModel does
+    not see, so the CLI checks it."""
+    code, out, err = run(capsys, *argv, "--family", "atoms:-1:0.5,1:0.5", "--sigma", sigma)
+    assert code == 1
+    assert out == ""
+    assert "sigma must be positive and finite" in err
+
+
+def test_manifest_records_environment(tmp_path, capsys):
+    out = tmp_path / "classes.csv"
+    code, _, _ = run(capsys, "classes", "--class", "DIII", "--n", "2", "--out", str(out))
+    assert code == 0
+    manifest = json.loads((tmp_path / "classes.csv.manifest.json").read_text())
+    assert manifest["schema"] == "symmwig/1"
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_pinned"}
+    assert isinstance(env["python"], str) and isinstance(env["numpy"], str)
+    assert isinstance(env["blas_pinned"], bool)

@@ -222,3 +222,40 @@ def test_entry_model_rejects_bad_atoms(atoms, message):
 def test_entry_model_rejects_bad_scale(sigma2):
     with pytest.raises(ValueError, match="sigma2"):
         EntryModel.gaussian(sigma2)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_signed_gather_equals_literal_scatter(cls, n):
+    layout = block_layout(cls, n)
+    cls_id, sign = class_tables(cls, n)
+    draws = EntryModel.gaussian().draw(derive_rng(8, (n,)), (3, layout.n_classes))
+    want = np.zeros((3, layout.dim, layout.dim))
+    for b in range(3):
+        for p in range(layout.dim):
+            for q in range(layout.dim):
+                if cls_id[p, q] >= 0:
+                    want[b, p, q] = sign[p, q] * draws[b, cls_id[p, q]]
+    assert np.array_equal(layout.assemble(draws), want)
+
+
+@pytest.mark.parametrize("model", (EntryModel.gaussian(0.49), EntryModel.rademacher(2.0)))
+@pytest.mark.parametrize("chunk", (1, 63, 200, 736))
+def test_draws_are_chunk_invariant(model, chunk):
+    """Drawing rows in consecutive chunks reads the same stream as one
+    draw; the Monte Carlo sub-batches rely on it."""
+    rows, width = 736, 12
+    whole = model.draw(derive_rng(21, (4,)), (rows, width))
+    rng = derive_rng(21, (4,))
+    parts = [model.draw(rng, (min(chunk, rows - lo), width)) for lo in range(0, rows, chunk)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_block_layout_assembles_into_a_buffer(cls):
+    layout = block_layout(cls, 3)
+    draws = EntryModel.gaussian().draw(derive_rng(6), (5, layout.n_classes))
+    buf = np.full((5, layout.dim, layout.dim), np.nan)
+    W = layout.assemble(draws, out=buf)
+    assert np.shares_memory(W, buf)
+    assert np.array_equal(buf, layout.assemble(draws))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from symmwig import montecarlo
 from symmwig.chebyshev import trace_cheb_vector
 from symmwig.ensemble import EntryModel, SymmetryClass, block_layout, derive_rng
 from symmwig.montecarlo import (
@@ -37,6 +39,12 @@ def test_config_validation():
     assert SimulationConfig("diii", 4).symmetry_class is DIII
 
 
+@pytest.mark.parametrize("sigma", (-1.0, float("nan"), float("inf")))
+def test_config_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        SimulationConfig(CI, 4, sigma=sigma)
+
+
 @pytest.mark.parametrize("cls", (DIII, CI))
 @pytest.mark.parametrize("sigma", (1.0, 0.7))
 def test_trace_path_matches_literal_recurrence(cls, sigma):
@@ -56,6 +64,74 @@ def test_trace_path_matches_literal_recurrence(cls, sigma):
                 assert abs(want[m - 1]) <= 1e-9 * dim
             else:
                 assert got[b, m - 1] == pytest.approx(want[m - 1], rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("sigma", (1.0, 0.7))
+@pytest.mark.parametrize("M", range(1, 11))
+def test_trace_kernel_matches_literal_recurrence_at_every_degree(cls, sigma, M):
+    """Direct traces up to T_{2h}, h = ceil(M/4), and Frobenius products
+    beyond it agree with the literal recurrence on the assembled stack."""
+    layout = block_layout(cls, 3)
+    draws = EntryModel.gaussian().draw(derive_rng(98, (M,)), (6, layout.n_classes))
+    got = _trace_vectors(cls, draws, sigma, M, layout)
+    X = layout.unit * layout.assemble(draws) / math.sqrt(layout.dim)
+    want = trace_cheb_vector(X, M, sigma)
+    assert got.shape == (6, M)
+    assert np.all(got[:, 0::2] == 0.0)
+    assert np.allclose(got[:, 1::2], want[:, 1::2], rtol=1e-10, atol=1e-10)
+
+
+class _CountingNumpy:
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("M", range(1, 11))
+def test_trace_kernel_matmul_count(M, monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(montecarlo, "np", counting)
+    layout = block_layout(CI, 3)
+    draws = EntryModel.gaussian().draw(derive_rng(1), (4, layout.n_classes))
+    _trace_vectors(CI, draws, 1.0, M, layout)
+    assert counting.matmuls == (0 if M < 2 else -(-M // 4))
+
+
+@pytest.mark.parametrize("cls, family", ((CI, "gaussian"), (DIII, "rademacher")))
+def test_sub_batches_change_rounding_only(cls, family, monkeypatch):
+    """Splitting each block into kernel sub-batches and accumulation chunks
+    keeps the sample stream; only the summation order moves."""
+    cfg = SimulationConfig(cls, 4, samples=8000, seed=17, M=8, family=family)
+    monkeypatch.setattr(montecarlo, "SUB_BATCH_ENTRIES", 10**9)
+    whole = run_simulation(cfg).estimates
+    # 7 rows of 8 x 8 per kernel call, 56 rows of M = 8 per add_batch; 80 per block
+    monkeypatch.setattr(montecarlo, "SUB_BATCH_ENTRIES", 7 * 64)
+    split = run_simulation(cfg).estimates
+    for a, b in ((whole.mean, split.mean), (whole.cov, split.cov), (whole.cov_se, split.cov_se)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_memory_does_not_grow_with_samples(monkeypatch):
+    monkeypatch.setattr(montecarlo, "SUB_BATCH_ENTRIES", 40 * 64)  # 40 rows of 8 x 8
+    run_simulation(SimulationConfig(CI, 4, samples=200, seed=3))  # first-call allocations
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_simulation(SimulationConfig(CI, 4, samples=samples, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(1_000)
+    assert peak(100_000) <= 2 * small
 
 
 def test_determinism_across_parallelism():
