@@ -342,6 +342,12 @@ def _cmd_variance(values: dict) -> int:
         if n is None:
             raise ValueError(f"--n is required for mode {mode!r}")
         if mode == "exact":
+            # the dihedral formula reads its scale from the law alone
+            if not math.isclose(sigma, model.sigma, rel_tol=1e-9):
+                raise ValueError(
+                    f"--mode exact takes the scale of the entry law ({model.sigma:g}); "
+                    f"--sigma {sigma:g} differs"
+                )
             value = V_n_exact(cls, n, m, model, **budget)
         else:
             value = cov_cheb_moment_oracle(cls, n, m, m, model, sigma, **budget)

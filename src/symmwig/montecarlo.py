@@ -9,14 +9,30 @@ index order, so the result is bit-identical at any parallelism level.
 The blocks double as jackknife resamples for the standard errors.
 
 Both symmetry classes are conjugation-odd (J X J^{-1} = -X), so odd-degree
-traces vanish sample-wise and are emitted as exact zeros.  Every even T_{2j}
-is a real symmetric polynomial in Y = X^2, in either class.  The product
-rule T_a T_b = T_{a+b} + sigma^{2b} T_{a-b} (a >= b >= 1, T_0 = 2I) then
-gives Tr T_{a+b} = <T_a, T_b>_F - sigma^{2b} Tr T_{a-b}, since the trace
-of a product of symmetric matrices is their Frobenius inner product.  So
-only T_2, ..., T_{2h}, h = ceil(M/4), are formed as matrices (one matmul
-each, T_{2j+2} = T_2 T_{2j} - sigma^4 T_{2j-2}), and every even trace up
-to M takes one Frobenius product beyond them.
+traces vanish sample-wise and are emitted as exact zeros.  Every sample is
+W = [[X1, X2], [X2, -X1]] (X = i W / sqrt(2n) in DIII, W / sqrt(2n) in CI),
+so W^2 = [[P, Q], [-Q, P]] with P = X1^2 + X2^2 symmetric and
+Q = X1 X2 - X2 X1 antisymmetric, in either class.  Every even T_{2j} is a
+polynomial in W^2 and keeps that form, so its top n rows [P | Q] fix it:
+Tr T = 2 Tr P and <T, T'>_F = 2 <top T, top T'>_F.  The kernel therefore
+holds only top halves, and every product yields n rows, never 2n:
+
+- top(T_2) is top(W) W, scaled and shifted in place: half the flops of W W.
+- The product rule T_a T_b = T_{a+b} + sigma^{2b} T_{a-b} (a >= b >= 1,
+  T_0 = 2I) gives Tr T_{a+b} = <T_a, T_b>_F - sigma^{2b} Tr T_{a-b}, since
+  the trace of a product of symmetric matrices is their Frobenius inner
+  product.  So Tr T_4 takes no product at all.
+- Tr T_6 follows the cube rule T_6 = T_2^3 - 3 sigma^4 T_2 with
+  Tr T_2^3 = 2(<P P, P> + 3 <P Q, Q>), P and Q the blocks of T_2: one
+  n x n by n x 2n product P [P | Q], a quarter of a full one.  At the
+  default M = 6 a sample costs 12 n^3 flops instead of the 32 n^3 of two
+  full 2n x 2n products.
+- Beyond degree 7, top(T_{2j}) = top(T_{2j-2}) full(T_2) - sigma^4
+  top(T_{2j-4}) for j <= h = ceil(floor(M/2) / 2), and the even traces
+  beyond 2h come from Frobenius products of top halves.  Every T_{2j}
+  commutes with T_2 (both are polynomials in W^2), so the right factor is
+  always full(T_2) = [[P, Q], [-Q, P]]: it is the only full matrix, written
+  once per call over the spent W.  Either way a call forms h products.
 
 Each block is walked in sub-batches of SUB_BATCH_ENTRIES matrix entries per
 stack, drawn one after another from the block's own generator.  Gaussian
@@ -187,57 +203,87 @@ def _trace_vectors(
 ) -> np.ndarray:
     """(batch, M) traces of T_1..T_M at each assembled sample.
 
-    ``work`` is scratch from ``_workspace`` for at least batch rows; the
-    matrix stacks are built in it, and allocated here when it is None.
+    ``work`` is scratch from ``_workspace`` for at least batch rows; W and
+    the top halves are built in it, and it is allocated here when None.
     """
     dim = layout.dim
+    n = dim // 2
     B = draws.shape[0]
     out = np.zeros((B, M))
-    if M < 2:
+    K = M // 2  # even degrees 2, 4, ..., 2K
+    if K == 0:
         return out
-    h = -(-M // 4)
+    h = _half_stacks(M)
     if work is None:
         work = _workspace(M, B, dim)
-    stacks = work[:, :B]
+    W = work[: B * dim * dim].reshape(B, dim, dim)
+    tops = work[B * dim * dim : B * dim * (dim + h * n)].reshape(h, B, n, dim)
     s2 = sigma * sigma
-    W = layout.assemble(draws, out=stacks[0])
-    # X = i W / sqrt(dim) or W / sqrt(dim); either way Y = X^2 is real
-    # symmetric, and T_2 = Y - 2 sigma^2 I is formed in place
-    T2 = np.matmul(W, W, out=stacks[1])
+    s4 = s2 * s2
+    layout.assemble(draws, out=W)
+    # X = i W / sqrt(dim) or W / sqrt(dim); either way the top rows of
+    # T_2 = X^2 - 2 sigma^2 I are [P | Q] = top(W W) scaled and shifted in place
+    T2 = np.matmul(W[:, :n], W, out=tops[0])
     T2 *= (-1.0 if symmetry_class is SymmetryClass.DIII else 1.0) / dim
     _diagonal(T2)[...] -= 2.0 * s2
-    # even[j] is T_{2j} for j = 1..h; T_4 overwrites W, which is spent
-    even = [None, T2]
-    for j in range(2, h + 1):
-        nxt = np.matmul(T2, even[j - 1], out=stacks[0 if j == 2 else j - 1])
-        if j == 2:
-            _diagonal(nxt)[...] -= 2.0 * s2 * s2  # sigma^4 * T_0
+    P, Q = T2[..., :n], T2[..., n:]
+    # tops[j - 1] holds top(T_{2j}) for j <= f; for floor(M/2) > 3 every
+    # top(T_{2j}), j <= h, is top(T_{2j-2}) full(T_2) - sigma^4 top(T_{2j-4}),
+    # with full(T_2) = [[P, Q], [-Q, P]] written over the spent W
+    f = h if K > 3 else 1
+    if K > 3:
+        W[:, :n] = T2
+        np.negative(Q, out=W[:, n:, :n])
+        W[:, n:, n:] = P
+        for j in range(2, h + 1):
+            nxt = np.matmul(tops[j - 2], W, out=tops[j - 1])
+            if j == 2:
+                _diagonal(nxt)[...] -= 2.0 * s4  # sigma^4 top(T_0)
+            else:
+                nxt -= s4 * tops[j - 3]
+    # half traces, Tr P for every T = [[P, Q], [-Q, P]]; doubled at the end
+    for d in range(1, min(K, 2 * f) + 1):
+        if d <= f:
+            np.einsum("bii->b", tops[d - 1][..., :n], out=out[:, 2 * d - 1])
         else:
-            nxt -= (s2 * s2) * even[j - 2]
-        even.append(nxt)
-    for d in range(1, M // 2 + 1):
-        if d <= h:
-            out[:, 2 * d - 1] = np.einsum("bii->b", even[d])
-        else:
-            # Tr T_{a+b} = <T_a, T_b>_F - sigma^{2b} Tr T_{a-b}, a = 2h, b = 2d - 2h
-            a, b = 2 * h, 2 * d - 2 * h
-            low = 2.0 * dim if a == b else out[:, a - b - 1]  # Tr T_0 = 2 dim
-            frob = np.einsum("bij,bij->b", even[h], even[d - h])
-            out[:, 2 * d - 1] = frob - s2**b * low
+            # row by row, (T_{a+b})_ii = <row_i T_a, row_i T_b> - sigma^{2b} (T_{a-b})_ii
+            # with a = 2f, b = 2d - 2f; shifting each row before the sum keeps
+            # the cancellation per row (one shift of the total made the error
+            # of Tr T_4 about 20 times larger)
+            a, b = 2 * f, 2 * d - 2 * f
+            rows = np.einsum("bij,bij->bi", tops[f - 1], tops[d - f - 1])
+            rows -= s2**b * (2.0 if a == b else _diagonal(tops[f - (d - f) - 1]))
+            rows.sum(axis=1, out=out[:, 2 * d - 1])
+    if K == 3:
+        # cube rule: T_6 = T_2^3 - 3 sigma^4 T_2 and Tr T_2^3 = 2(<PP, P> + 3<PQ, Q>)
+        R = np.matmul(P, T2, out=tops[1])
+        cube = np.einsum("bij,bij->b", R[..., :n], P) + 3.0 * np.einsum(
+            "bij,bij->b", R[..., n:], Q
+        )
+        out[:, 5] = cube - 3.0 * s4 * out[:, 1]
+    out *= 2.0
     return out
 
 
+def _half_stacks(M: int) -> int:
+    """Top-half stacks of ``_trace_vectors`` at degree M, which is also its
+    product count: ceil(floor(M/2) / 2)."""
+    return -(-(M // 2) // 2)
+
+
 def _workspace(M: int, rows: int, dim: int) -> np.ndarray:
-    """Scratch for ``_trace_vectors``: max(2, ceil(M/4)) stacks of rows
-    dim x dim matrices, reused across sub-batches (fresh stacks per
-    sub-batch cost page faults at every allocation)."""
-    return np.empty((max(2, -(-M // 4)), rows, dim, dim))
+    """Flat scratch for ``_trace_vectors``: one stack of rows dim x dim
+    matrices and ``_half_stacks(M)`` stacks of their top dim/2 rows, reused
+    across sub-batches (fresh stacks per sub-batch cost page faults at
+    every allocation)."""
+    return np.empty(rows * dim * (dim + _half_stacks(M) * (dim // 2)))
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a C-contiguous (batch, dim, dim) stack."""
-    dim = stack.shape[-1]
-    return stack.reshape(stack.shape[0], dim * dim)[:, :: dim + 1]
+    """Writable view of the leading square diagonals of a C-contiguous
+    (batch, rows, cols) stack, rows <= cols."""
+    cols = stack.shape[-1]
+    return stack.reshape(stack.shape[0], -1)[:, :: cols + 1]
 
 
 def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],

@@ -275,6 +275,25 @@ def test_bad_sigma_rejected_with_atoms(capsys, argv, sigma):
     assert "sigma must be positive and finite" in err
 
 
+def test_exact_variance_rejects_sigma_off_the_atom_scale(capsys):
+    """The exact formula reads its scale from the atom law, so a --sigma
+    that differs from it is an error, not silently the value at sigma 1."""
+    argv = ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3",
+            "--family", "atoms:-1:0.5,1:0.5")
+    code, out, err = run(capsys, *argv, "--sigma", "2")
+    assert code == 1
+    assert out == ""
+    assert "--sigma 2 differs" in err
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--sigma", "1") == default
+    # gaussian and rademacher laws take --sigma as their scale, as before
+    for family in ("gaussian", "rademacher"):
+        code, out, _ = run(capsys, *argv[:-1], family, "--sigma", "2")
+        assert code == 0
+        assert rows_of(out)[1][3] == "2427.25925926"
+
+
 def test_manifest_records_environment(tmp_path, capsys):
     out = tmp_path / "classes.csv"
     code, _, _ = run(capsys, "classes", "--class", "DIII", "--n", "2", "--out", str(out))

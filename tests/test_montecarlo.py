@@ -70,8 +70,8 @@ def test_trace_path_matches_literal_recurrence(cls, sigma):
 @pytest.mark.parametrize("sigma", (1.0, 0.7))
 @pytest.mark.parametrize("M", range(1, 11))
 def test_trace_kernel_matches_literal_recurrence_at_every_degree(cls, sigma, M):
-    """Direct traces up to T_{2h}, h = ceil(M/4), and Frobenius products
-    beyond it agree with the literal recurrence on the assembled stack."""
+    """Half-block traces (direct, Frobenius, cube rule) agree with the
+    literal recurrence on the assembled stack."""
     layout = block_layout(cls, 3)
     draws = EntryModel.gaussian().draw(derive_rng(98, (M,)), (6, layout.n_classes))
     got = _trace_vectors(cls, draws, sigma, M, layout)
@@ -84,14 +84,24 @@ def test_trace_kernel_matches_literal_recurrence_at_every_degree(cls, sigma, M):
 
 class _CountingNumpy:
     def __init__(self):
-        self.matmuls = 0
+        self.products = []  # (shape of a, shape of the output) per matmul
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, *args, **kwargs):
-        self.matmuls += 1
-        return np.matmul(*args, **kwargs)
+    def matmul(self, a, *args, **kwargs):
+        out = np.matmul(a, *args, **kwargs)
+        self.products.append((np.shape(a), out.shape))
+        return out
+
+    @property
+    def matmuls(self):
+        return len(self.products)
+
+    @property
+    def flops(self):
+        # 2 flop per multiply-add: output entries times the inner dimension
+        return sum(2 * math.prod(out) * a[-1] for a, out in self.products)
 
 
 @pytest.mark.parametrize("M", range(1, 11))
@@ -101,7 +111,48 @@ def test_trace_kernel_matmul_count(M, monkeypatch):
     layout = block_layout(CI, 3)
     draws = EntryModel.gaussian().draw(derive_rng(1), (4, layout.n_classes))
     _trace_vectors(CI, draws, 1.0, M, layout)
-    assert counting.matmuls == (0 if M < 2 else -(-M // 4))
+    assert counting.matmuls == -(-(M // 2) // 2)
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("n", (3, 8))
+@pytest.mark.parametrize("M", range(1, 11))
+def test_trace_kernel_products_are_half_blocks(cls, n, M, monkeypatch):
+    """Every product yields only the top n rows of a 2n x 2n matrix, and
+    the default M = 6 costs 12 n^3 flops per sample (two full 2n x 2n
+    products would cost 32 n^3)."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(montecarlo, "np", counting)
+    layout = block_layout(cls, n)
+    B = 5
+    draws = EntryModel.gaussian().draw(derive_rng(2), (B, layout.n_classes))
+    _trace_vectors(cls, draws, 1.0, M, layout)
+    assert all(out[-2:] == (n, 2 * n) for _, out in counting.products)
+    if M in (6, 7):
+        assert counting.flops == 12 * n**3 * B
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("family", ("rademacher", "gaussian"))
+def test_square_of_sample_is_fixed_by_its_top_rows(cls, family):
+    """W W = [[P, Q], [-Q, P]] with P symmetric and Q antisymmetric, so its
+    top n rows fix it; exact for integer entries, to rounding otherwise."""
+    n = 5
+    layout = block_layout(cls, n)
+    draws = EntryModel(family=family).draw(derive_rng(3), (4, layout.n_classes))
+    W = layout.assemble(draws)
+    S = np.matmul(W, W)
+    P, Q = S[:, :n, :n], S[:, :n, n:]
+    full = np.block([[P, Q], [-Q, P]])
+    if family == "rademacher":
+        assert np.array_equal(S, full)
+        assert np.array_equal(P, P.swapaxes(1, 2))
+        assert np.array_equal(Q, -Q.swapaxes(1, 2))
+    else:
+        tol = 1e-13 * np.abs(S).max()
+        assert np.abs(S - full).max() <= tol
+        assert np.abs(P - P.swapaxes(1, 2)).max() <= tol
+        assert np.abs(Q + Q.swapaxes(1, 2)).max() <= tol
 
 
 @pytest.mark.parametrize("cls, family", ((CI, "gaussian"), (DIII, "rademacher")))
