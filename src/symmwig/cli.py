@@ -39,12 +39,10 @@ from .montecarlo import (
     theory_vector,
     threadpool_limits,
 )
-from .patterns import DeltaMatrix, enumerate_delta_sequences
+from .patterns import CONDITIONS, FILTERS, DeltaMatrix, enumerate_delta_sequences
 
 SCHEMA = "symmwig/1"
 
-PATTERN_CONDITIONS = ("forward", "reverse")
-PATTERN_FILTERS = ("all", "identical-rows", "identical-rows-alpha1", "tau-realizable")
 VARIANCE_MODES = ("exact", "asymptotic", "oracle")
 ORACLE_KINDS = ("config", "moment")
 
@@ -522,11 +520,11 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("m", _to_int, required=True, help="sequence length"),
         _Opt(
             "condition",
-            _choice(*PATTERN_CONDITIONS),
+            _choice(*CONDITIONS),
             required=True,
             help="chaining condition",
         ),
-        _Opt("filter", _choice(*PATTERN_FILTERS), default="all", help="count filter"),
+        _Opt("filter", _choice(*FILTERS), default="all", help="count filter"),
         _Opt("first-delta", _to_delta, help="pin the first offset matrix, e.g. 01/10"),
         _OUT_OPT,
     ]),

@@ -213,10 +213,22 @@ def _good_sign_sums(
     Row one's index walks are enumerated in bulk from the start index 0
     only, and the sums are scaled by 2n (see the module docstring).  The
     walks, their classes, the validity mask and the row-one sign products
-    are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory, and
-    shared by every g; only the row-two chase runs per element, from
-    each of the (at most four) admissible starting indices of its first
-    slot's class.
+    are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory.
+    The row-two chase runs from each of the (at most four) admissible
+    starting indices of the first slot's class, for shift(0) and refl(0)
+    only: every shift has the sum of shift(0), and every reflection that
+    of refl(0).
+
+    Proof.  Let rho_r(l) = l + r (mod m).  Rotating row one's walk by r,
+    p_l -> p_{l+r}, is a bijection on closed walks; it permutes the slots
+    cyclically, so it keeps each slot's class and sign, the validity mask,
+    the distinctness of the classes and the product of all signs.  Row-one
+    slot l + r shares its class with row-two slot g(l + r), so the rotated
+    pair is good for g o rho_r, and the rotation maps S^good(pi_g) onto
+    S^good(pi_{g o rho_r}) in both partition modes.  Since
+    shift(nu) o rho_r = shift(nu + r) and refl(nu) o rho_r = refl(nu + r),
+    the full sums agree along each kind, and by the start-index reduction
+    so do the sums with row one starting at 0.
     """
     if partition_mode not in PARTITION_MODES:
         raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
@@ -227,7 +239,7 @@ def _good_sign_sums(
     q_by_p, s_by_p, ok_by_p, member_p = _member_tables(symmetry_class, n)
     q_by_p, s_by_p, ok_by_p = q_by_p.ravel(), s_by_p.ravel(), ok_by_p.ravel()
     group = dihedral_group(m)
-    sums = dict.fromkeys(group, 0)
+    sums = {"shift": 0, "reflection": 0}
     n_walks = dim ** (m - 1)
     for lo in range(0, n_walks, _WALK_CHUNK):
         rem = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
@@ -249,7 +261,7 @@ def _good_sign_sums(
         s1 = np.ones(len(w), dtype=np.int64)
         for l in range(m):
             s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
-        for g in group:
+        for g in (group[0], group[m]):  # shift(0), refl(0)
             # slot j of row two carries the class of row-one slot g^{-1}(j)
             ginv = [l - 1 for l in g.inverse_perm()]
             d = [offset[l] for l in ginv]
@@ -267,8 +279,8 @@ def _good_sign_sums(
                 walk, v0, flat, s2 = walk[live], v0[live], flat[live], s2[live]
                 s2 = s2 * s_by_p[flat]
                 v = q_by_p[flat]
-            sums[g] += int(np.sum(s2[v == v0]))  # cyclic closure of row two
-    return {g: dim * total for g, total in sums.items()}
+            sums[g.kind] += int(np.sum(s2[v == v0]))  # cyclic closure of row two
+    return {g: dim * sums[g.kind] for g in group}
 
 
 # -- exact finite-size variance ------------------------------------------------

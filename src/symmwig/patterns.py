@@ -1,27 +1,31 @@
-"""Pattern calculus for paired index rows.
+"""Block digits, domino chains and dihedral signs.
 
-A pattern encodes how a pair of cyclic index walks can line up entry by
-entry: each position carries a 2x2 binary "block digit" (which half of the
-index range each of the four indices lives in) together with a scalar-slot
-rule that says whether the second row reuses the first row's scalars in
-order (aligned) or swapped (reversed).  Counting and signing these patterns
-is what turns the covariance of two trace statistics into a sum over a
-dihedral group.
+The covariance of two Chebyshev traces reduces, at leading order, to one
+term per element of the dihedral group acting on a cyclic alignment of
+length m (``dihedral_group``).  This module carries their digit bookkeeping.
 
-Only eight block digits are admissible (entry sum even); they split into
-"step" digits (the two columns differ) and "plateau" digits (columns equal).
-Consecutive digits must chain according to one of two domino rules, and the
-leading-order weight of a dihedral element depends only on that chaining.
+Each position of an aligned pair of index walks carries a 2x2 binary
+block digit (alpha, beta / gamma, delta): which half of the index range
+each of its four indices lies in.  Only the eight digits with even entry
+sum are admissible (``DELTA_ALPHABET``).  Consecutive digits chain
+cyclically under one of two domino conditions (``CONDITIONS``): forward
+for shifts, where the second column feeds the next first column, and
+reverse for reflections, where the top row chains forward and the bottom
+row backward.  ``enumerate_delta_sequences`` lists the chains, optionally
+restricted by one of ``FILTERS``, and ``complete_reflection_sequence``
+rebuilds a reverse chain from its first digit and free top-row bits.
+
+The leading-order weight of a dihedral element is the sum over its chains
+of the product of per-digit signs (``delta_sign``), which depend on the
+symmetry class and the chaining condition.  ``per_g_leading_term``
+evaluates it and checks it against its closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 from .ensemble import SymmetryClass
 
@@ -56,112 +60,13 @@ class DeltaMatrix(NamedTuple):
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.alpha, self.beta), (self.gamma, self.delta)
 
-    @property
-    def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.alpha, self.gamma), (self.beta, self.delta)
 
-    @property
-    def entry_sum(self) -> int:
-        return self.alpha + self.beta + self.gamma + self.delta
-
-
-#: The eight admissible block digits: entry sum even.  Steps first.
+#: The eight admissible block digits: entry sum even.
 DELTA_ALPHABET: tuple[DeltaMatrix, ...] = tuple(
     DeltaMatrix(*bits)
     for bits in itertools.product((0, 1), repeat=4)
     if sum(bits) % 2 == 0
 )
-
-_STEPS = frozenset(d for d in DELTA_ALPHABET if d.columns[0] != d.columns[1])
-_PLATEAUS = frozenset(d for d in DELTA_ALPHABET if d.columns[0] == d.columns[1])
-
-
-def delta_alphabet() -> tuple[DeltaMatrix, ...]:
-    """All eight admissible block digits (even entry sum)."""
-    return DELTA_ALPHABET
-
-
-def classify_delta(delta: DeltaMatrix) -> str:
-    """Return "step" or "plateau" by comparing the two columns.
-
-    Raises ValueError for a matrix outside the admissible alphabet.
-    """
-    if delta not in DELTA_ALPHABET:
-        raise ValueError(f"{delta} has odd entry sum, not an admissible digit")
-    return "step" if delta in _STEPS else "plateau"
-
-
-class LambdaKind(Enum):
-    """Scalar-slot rule for the second row of a pattern position."""
-
-    A = "aligned"   # second row reuses (a, b) in order
-    R = "reversed"  # second row uses (b, a)
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A cyclic sequence of (block digit, scalar rule) positions."""
-
-    deltas: tuple[DeltaMatrix, ...]
-    lambdas: tuple[LambdaKind, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.deltas) != len(self.lambdas):
-            raise ValueError("deltas and lambdas must have equal length")
-        if not self.deltas:
-            raise ValueError("pattern must have at least one position")
-        for d in self.deltas:
-            if d not in DELTA_ALPHABET:
-                raise ValueError(f"{d} is not an admissible digit")
-
-    @property
-    def m(self) -> int:
-        return len(self.deltas)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A pattern realized with concrete scalars in [1, n].
-
-    ``realized[l]`` is the pair of 1-based index pairs produced at position
-    l: row one is (n*alpha + a, n*beta + b) and row two reuses the scalars
-    according to the position's LambdaKind.
-    """
-
-    pattern: Pattern
-    n: int
-    scalars: tuple[tuple[int, int], ...]
-    realized: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def make_instance(pattern: Pattern, n: int,
-                  scalars: Sequence[tuple[int, int]]) -> Instance:
-    """Realize ``pattern`` with the given per-position scalar pairs."""
-    if len(scalars) != pattern.m:
-        raise ValueError("one scalar pair required per pattern position")
-    realized = []
-    for (d, lam, (a, b)) in zip(pattern.deltas, pattern.lambdas, scalars):
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"scalars must lie in [1, {n}], got {(a, b)}")
-        if a == b:
-            raise ValueError("scalar pairs must have distinct entries")
-        row1 = (n * d.alpha + a, n * d.beta + b)
-        u, v = (a, b) if lam is LambdaKind.A else (b, a)
-        row2 = (n * d.gamma + u, n * d.delta + v)
-        realized.append((row1, row2))
-    return Instance(pattern, n, tuple(tuple(s) for s in scalars),
-                    tuple(realized))
-
-
-def instance_consistent(inst: Instance) -> bool:
-    """Whether both realized rows chain cyclically (q of l == p of l+1)."""
-    m = inst.pattern.m
-    for l in range(m):
-        nxt = (l + 1) % m
-        for row in (0, 1):
-            if inst.realized[l][row][1] != inst.realized[nxt][row][0]:
-                return False
-    return True
 
 
 # -- dihedral group ----------------------------------------------------------
@@ -217,25 +122,11 @@ def dihedral_group(m: int) -> list[DihedralElement]:
     return group
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """Perfect matching of row slots {(1, l)} with {(2, j)} induced by g."""
-
-    m: int
-    blocks: frozenset[frozenset[tuple[int, int]]]
-
-
-def pair_partition(g: DihedralElement) -> PairPartition:
-    blocks = frozenset(
-        frozenset({(1, l), (2, g(l))}) for l in range(1, g.m + 1)
-    )
-    return PairPartition(g.m, blocks)
-
-
 # -- domino chaining ---------------------------------------------------------
 
-_FORWARD = "forward"
-_REVERSE = "reverse"
+#: Domino chaining conditions: forward for shifts, reverse for reflections.
+CONDITIONS = ("forward", "reverse")
+_FORWARD, _REVERSE = CONDITIONS
 
 
 def _domino_ok(prev: DeltaMatrix, cur: DeltaMatrix, mode: str) -> bool:
@@ -257,71 +148,10 @@ def check_domino(deltas: Sequence[DeltaMatrix], mode: str) -> bool:
                for l in range(m))
 
 
-def is_substantial(pattern: Pattern) -> bool:
-    """Whether the pattern can contribute at leading order.
-
-    True iff the digits chain forward with every scalar rule aligned, or
-    chain in reverse with every rule reversed.  A pattern whose digits chain
-    under neither rule is outside the supported regime entirely and raises
-    ValueError rather than returning False.
-    """
-    fwd = check_domino(pattern.deltas, _FORWARD)
-    rev = check_domino(pattern.deltas, _REVERSE)
-    if not (fwd or rev):
-        raise ValueError("digit sequence chains under neither domino rule; "
-                         "lemma inapplicable")
-    all_a = all(k is LambdaKind.A for k in pattern.lambdas)
-    all_r = all(k is LambdaKind.R for k in pattern.lambdas)
-    return (fwd and all_a) or (rev and all_r)
-
-
-def count_consistent_instances(pattern: Pattern, n: int) -> int:
-    """Exact number of scalar assignments whose instance rows both chain.
-
-    Organized as a transfer-matrix product over the n(n-1) ordered scalar
-    pairs, which is the same count as brute-force enumeration.  Intended for
-    small sizes (guideline n <= 8, m <= 6); raises BudgetError when the
-    state space would be unreasonable.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 for distinct scalar pairs")
-    m = pattern.m
-    states = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
-              if a != b]
-    s = len(states)
-    if s * s * m > 10**8:
-        raise BudgetError(f"transfer product size {s}x{s}x{m} exceeds budget")
-
-    # Bit conditions between consecutive digits are scalar independent.
-    for l in range(m):
-        d, dn = pattern.deltas[l], pattern.deltas[(l + 1) % m]
-        if d.beta != dn.alpha:
-            return 0
-
-    av = np.array([a for a, _ in states])
-    bv = np.array([b for _, b in states])
-
-    def rowslot(lam: LambdaKind, first: bool) -> np.ndarray:
-        # which scalar occupies row two's first/second slot
-        if lam is LambdaKind.A:
-            return av if first else bv
-        return bv if first else av
-
-    total = np.eye(s, dtype=np.int64)
-    for l in range(m):
-        d, dn = pattern.deltas[l], pattern.deltas[(l + 1) % m]
-        lam, lamn = pattern.lambdas[l], pattern.lambdas[(l + 1) % m]
-        cond = bv[:, None] == av[None, :]  # row one: q == next p
-        if d.delta != dn.gamma:
-            return 0
-        cond &= rowslot(lam, False)[:, None] == rowslot(lamn, True)[None, :]
-        total = total @ cond.astype(np.int64)
-    return int(np.trace(total))
-
-
 # -- digit sequence enumeration ----------------------------------------------
 
-_FILTERS = ("all", "identical-rows", "identical-rows-alpha1", "tau-realizable")
+#: Named restrictions of ``enumerate_delta_sequences``.
+FILTERS = ("all", "identical-rows", "identical-rows-alpha1", "tau-realizable")
 
 
 def _passes_filter(seq: tuple[DeltaMatrix, ...], name: str) -> bool:
@@ -337,7 +167,7 @@ def _passes_filter(seq: tuple[DeltaMatrix, ...], name: str) -> bool:
         rebuilt = complete_reflection_sequence(seq[0], tuple(bits[2:]),
                                                len(seq))
         return rebuilt == seq
-    raise ValueError(f"unknown filter {name!r}; expected one of {_FILTERS}")
+    raise ValueError(f"unknown filter {name!r}; expected one of {FILTERS}")
 
 
 def enumerate_delta_sequences(
@@ -357,7 +187,7 @@ def enumerate_delta_sequences(
         raise ValueError("sequence length must be positive")
     if m > 16:
         raise BudgetError(f"2^(m+1) sequences at m={m} exceeds budget")
-    if condition not in (_FORWARD, _REVERSE):
+    if condition not in CONDITIONS:
         raise ValueError(f"condition must be forward or reverse, "
                          f"got {condition!r}")
     name = filter_name or "all"
@@ -443,11 +273,12 @@ _SIGN_MODES = ("forward-A", "reverse-R")
 
 def delta_sign(symmetry_class: SymmetryClass, mode: str,
                delta: DeltaMatrix) -> int:
-    """Leading-order sign contributed by one digit of a substantial pattern.
+    """Leading-order sign contributed by one digit of a chain.
 
-    For the imaginary-entry class the aligned and reversed modes have
-    opposite tables; for the real-entry class conjugation plays no role and
-    the two modes agree.
+    mode is "forward-A" for the forward chains of shifts and "reverse-R"
+    for the reverse chains of reflections.  For the imaginary-entry class
+    the two modes have opposite tables; for the real-entry class
+    conjugation plays no role and the two modes agree.
     """
     if mode not in _SIGN_MODES:
         raise ValueError(f"mode must be one of {_SIGN_MODES}, got {mode!r}")
@@ -465,10 +296,10 @@ def per_g_leading_term(symmetry_class: SymmetryClass, g: DihedralElement,
     """Leading-order weight of one dihedral element, by direct enumeration.
 
     Sums the digit-sign products over every admissible cyclic chain for the
-    element's mode (shifts chain forward with aligned slots, reflections in
-    reverse with reversed slots) and scales by sigma^(2m).  The enumeration
-    is asserted against the closed form: zero for odd m and 2^(m+1) sigma^(2m)
-    for even m, identically in the symmetry class and the element.
+    element's condition (shifts chain forward, reflections in reverse) and
+    scales by sigma^(2m).  The enumeration is asserted against the closed
+    form: zero for odd m and 2^(m+1) sigma^(2m) for even m, identically in
+    the symmetry class and the element.
     """
     m = g.m
     if m < 3:

@@ -263,7 +263,7 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
         + ", ".join(f"{cls.value} {row.var_est:.3f} +- {row.var_se:.3f} vs {row.theory:g} "
                     f"(z against the limit {row.z:.2f})" + ("" if row.passed else " OUTSIDE")
                     for cls, row in band.items())
-        + " (the 3-SE test against an exact Var_n(T6) waits on ROADMAP items 3-4: "
+        + " (the 3-SE test against an exact Var_n(T6) waits on ROADMAP item 2: "
           "its polynomial needs the moment oracle up to n = 7)")
 
     verdict(6, lead_ok and not per_g_bad and sample_ok and odd_ok and band_ok,

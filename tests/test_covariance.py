@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -108,6 +109,7 @@ def test_equality_mode_subsets_compatible():
     assert eq <= comp
 
 
+@functools.lru_cache(maxsize=None)  # shared by two tests; results are read only
 def _reference_sign_sums(cls, n, m):
     """Literal sum of sign products over S^good(pi_g), for every g and both
     partition modes, from one enumeration of the row pairs (p1, p2).
@@ -159,6 +161,38 @@ def test_chase_agrees_with_reference_enumeration(cls):
             got = _good_sign_sums(cls, n, m, mode)
             assert list(got) == group
             assert got == {g: want[g, mode] for g in group}
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+def test_row_one_rotation_maps_good_sets(cls):
+    """Rotating row one by one slot maps S^good(pi_g) onto
+    S^good(pi_{g o rho_1}), rho_1(l) = l + 1, in both modes, and
+    shift(nu) o rho_1 = shift(nu + 1), refl(nu) o rho_1 = refl(nu + 1).
+    So all shift sums agree and all reflection sums agree, which is what
+    lets _good_sign_sums chase shift(0) and refl(0) only.
+
+    Reversing row two maps S^good(pi_shift(nu)) onto S^good(pi_refl(nu+1))
+    as well, so on these ensembles the shift and reflection sums coincide
+    too, and no value test can tell which of the two a chase served."""
+    nonempty = 0
+    for n, m in ((2, 3), (3, 3), (2, 4)):
+        sums, members = _reference_sign_sums(cls, n, m)
+        group = dihedral_group(m)
+        by_perm = {g.perm: g for g in group}
+        for g in group:
+            g_rho = by_perm[tuple(g(l % m + 1) for l in range(1, m + 1))]
+            assert (g_rho.kind, g_rho.nu) == (g.kind, (g.nu + 1) % m)
+            for mode in ("equality", "compatible"):
+                good = members[g, mode]
+                nonempty += bool(good)
+                assert {(p1[1:] + p1[:1], p2) for p1, p2 in good} == members[g_rho, mode]
+                if g.kind == "shift":
+                    refl = group[m + (g.nu + 1) % m]
+                    assert {(p1, p2[::-1]) for p1, p2 in good} == members[refl, mode]
+        for mode in ("equality", "compatible"):
+            for kind in ("shift", "reflection"):
+                assert len({sums[g, mode] for g in group if g.kind == kind}) == 1
+    assert nonempty
 
 
 # -- exact finite-n variance ---------------------------------------------------

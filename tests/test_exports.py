@@ -1,0 +1,19 @@
+import importlib
+import pkgutil
+
+import symmwig
+
+
+def test_every_export_resolves():
+    """Each name in symmwig.__all__ and in every module's __all__ is
+    defined, so a stale export fails here rather than at a user's import."""
+    modules = [symmwig] + [
+        importlib.import_module(f"symmwig.{info.name}")
+        for info in pkgutil.iter_modules(symmwig.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+    namespace: dict = {}
+    exec("from symmwig import *", namespace)
+    assert set(symmwig.__all__) <= set(namespace)

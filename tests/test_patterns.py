@@ -8,19 +8,11 @@ from symmwig.ensemble import SymmetryClass
 from symmwig.patterns import (
     DELTA_ALPHABET,
     DeltaMatrix,
-    LambdaKind,
-    Pattern,
     check_domino,
-    classify_delta,
     complete_reflection_sequence,
-    count_consistent_instances,
     delta_sign,
     dihedral_group,
     enumerate_delta_sequences,
-    instance_consistent,
-    is_substantial,
-    make_instance,
-    pair_partition,
     per_g_leading_term,
 )
 
@@ -35,7 +27,7 @@ def D(text: str) -> DeltaMatrix:
 
 def test_alphabet():
     assert len(DELTA_ALPHABET) == 8
-    assert all(d.entry_sum % 2 == 0 for d in DELTA_ALPHABET)
+    assert all(sum(d) % 2 == 0 for d in DELTA_ALPHABET)
     assert {str(d) for d in DELTA_ALPHABET} == STEPS | PLATEAUS
     # the other 8 binary matrices have odd entry sum and are rejected
     for bits in itertools.product((0, 1), repeat=4):
@@ -43,15 +35,14 @@ def test_alphabet():
         if sum(bits) % 2 == 1:
             assert d not in DELTA_ALPHABET
             with pytest.raises(ValueError):
-                Pattern((d,), (LambdaKind.A,))
+                enumerate_delta_sequences(4, "forward", first_delta=d)
 
 
 def test_roundtrip_and_classification():
     for d in DELTA_ALPHABET:
         assert DeltaMatrix.from_string(str(d)) == d
         want = "step" if str(d) in STEPS else "plateau"
-        assert classify_delta(d) == want
-        assert (d.columns[0] == d.columns[1]) == (want == "plateau")
+        assert ((d.alpha, d.gamma) == (d.beta, d.delta)) == (want == "plateau")
 
 
 def test_from_string_rejects_garbage():
@@ -89,16 +80,6 @@ def test_tau_conjugates_shift_to_inverse(m):
     tau = next(g for g in group if g.kind == "reflection" and g.nu == 0)
     conj = tuple(tau(gamma(tau(l))) for l in range(1, m + 1))
     assert conj == gamma.inverse_perm()
-
-
-def test_pair_partition_blocks():
-    for g in dihedral_group(4):
-        part = pair_partition(g)
-        want = {frozenset({(1, l), (2, g(l))}) for l in range(1, 5)}
-        assert set(map(frozenset, part.blocks)) == want
-        # every block pairs one slot from each row
-        for block in part.blocks:
-            assert sorted(slot[0] for slot in block) == [1, 2]
 
 
 # -- domino chaining ----------------------------------------------------------
@@ -140,6 +121,15 @@ def test_tau_realizable_needs_reverse():
         enumerate_delta_sequences(4, "forward", "tau-realizable")
 
 
+def test_check_domino_examples():
+    assert check_domino((D("00/00"), D("01/01"), D("10/10")), "forward")
+    assert check_domino((D("00/00"),) * 3, "reverse")
+    # chains neither way
+    broken = (D("01/01"), D("00/00"), D("00/00"))
+    assert not check_domino(broken, "forward")
+    assert not check_domino(broken, "reverse")
+
+
 def test_identical_rows_filter_is_literal():
     seqs, _ = enumerate_delta_sequences(4, "forward", "identical-rows")
     for seq in seqs:
@@ -170,87 +160,7 @@ def test_completion_recombines_rows():
     # settles how the completion is to be read
     seq = complete_reflection_sequence(D("01/01"), (0,), 3)
     assert check_domino(seq, "reverse")
-    assert all(d.entry_sum % 2 == 0 for d in seq)
-
-
-# -- substantiality and instance counting -------------------------------------
-
-
-def test_is_substantial_rules():
-    fwd = (D("00/00"), D("01/01"), D("10/10"))
-    assert check_domino(fwd, "forward")
-    A, R = LambdaKind.A, LambdaKind.R
-    assert is_substantial(Pattern(fwd, (A, A, A)))
-    assert not is_substantial(Pattern(fwd, (A, R, A)))
-    rev = (D("00/00"),) * 3
-    assert is_substantial(Pattern(rev, (R, R, R)))
-    # chains neither way -> the counting lemma does not apply
-    broken = (D("01/01"), D("00/00"), D("00/00"))
-    assert not check_domino(broken, "forward")
-    assert not check_domino(broken, "reverse")
-    with pytest.raises(ValueError):
-        is_substantial(Pattern(broken, (A, A, A)))
-
-
-def brute_count(pattern: Pattern, n: int) -> int:
-    pairs = [
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    ]
-    count = 0
-    for scalars in itertools.product(pairs, repeat=pattern.m):
-        if instance_consistent(make_instance(pattern, n, scalars)):
-            count += 1
-    return count
-
-
-@pytest.mark.parametrize("m,n,want", [(3, 3, 6), (4, 3, 18)])
-def test_frozen_instance_counts(m, n, want):
-    pattern = Pattern((D("00/00"),) * m, (LambdaKind.A,) * m)
-    assert count_consistent_instances(pattern, n) == want
-    assert brute_count(pattern, n) == want
-
-
-@pytest.mark.parametrize("m", (3, 4))
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_count_matches_brute_force(m, n):
-    A = LambdaKind.A
-    seqs, _ = enumerate_delta_sequences(m, "forward")
-    # sample a handful of genuine chains, including step-bearing ones
-    for deltas in (seqs[0], seqs[len(seqs) // 3], seqs[-1]):
-        pattern = Pattern(tuple(deltas), (A,) * m)
-        assert count_consistent_instances(pattern, n) == brute_count(pattern, n)
-
-
-@pytest.mark.parametrize("m", (3, 4, 5))
-def test_substantial_count_closed_form(m):
-    # all-plateau aligned walk: (n-1)^m + (-1)^m (n-1) consistent instances
-    pattern = Pattern((D("00/00"),) * m, (LambdaKind.A,) * m)
-    for n in range(2, 7):
-        want = (n - 1) ** m + (-1) ** m * (n - 1)
-        assert count_consistent_instances(pattern, n) == want
-
-
-def test_negligible_pattern_is_small():
-    # mixed scalar rules break one row's chaining: o(n^m), here exactly 0
-    m = 3
-    pattern = Pattern((D("00/00"),) * m, (LambdaKind.A, LambdaKind.R, LambdaKind.A))
-    assert not is_substantial(pattern)
-    for n in range(2, 7):
-        count = count_consistent_instances(pattern, n)
-        assert count <= (n - 1) ** (m - 1) * m
-
-
-def test_make_instance_validation():
-    pattern = Pattern((D("00/00"),) * 3, (LambdaKind.A,) * 3)
-    with pytest.raises(ValueError):
-        make_instance(pattern, 3, [(1, 2), (2, 1)])  # wrong length
-    with pytest.raises(ValueError):
-        make_instance(pattern, 3, [(1, 1), (1, 2), (2, 1)])  # equal scalars
-    with pytest.raises(ValueError):
-        make_instance(pattern, 3, [(0, 2), (1, 2), (2, 1)])  # out of range
+    assert all(sum(d) % 2 == 0 for d in seq)
 
 
 # -- signs and leading terms --------------------------------------------------
@@ -304,22 +214,3 @@ def test_enumerated_chains_chain(m, condition, data):
     k = data.draw(st.integers(min_value=0, max_value=m - 1))
     rotated = seq[k:] + seq[:k]
     assert check_domino(rotated, condition)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=5),
-    m=st.integers(min_value=3, max_value=5),
-    data=st.data(),
-)
-def test_consistent_instances_chain_cyclically(n, m, data):
-    seqs, _ = enumerate_delta_sequences(m, "forward")
-    deltas = data.draw(st.sampled_from(seqs))
-    pattern = Pattern(tuple(deltas), (LambdaKind.A,) * m)
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
-    scalars = data.draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m))
-    inst = make_instance(pattern, n, scalars)
-    if instance_consistent(inst):
-        for l in range(m):
-            assert inst.realized[l][0][1] == inst.realized[(l + 1) % m][0][0]
-            assert inst.realized[l][1][1] == inst.realized[(l + 1) % m][1][0]
