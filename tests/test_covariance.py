@@ -195,6 +195,34 @@ def test_row_one_rotation_maps_good_sets(cls):
     assert nonempty
 
 
+@pytest.mark.parametrize(
+    "cls,mode,n,m,want",
+    [
+        (DIII, "equality", 3, 4, 192),
+        (DIII, "compatible", 3, 4, 768),
+        (CI, "equality", 3, 4, 1536),
+        (CI, "compatible", 3, 4, 2784),
+        (DIII, "equality", 4, 4, 1536),
+        (DIII, "compatible", 4, 4, 3072),
+        (CI, "equality", 4, 4, 5760),
+        (CI, "compatible", 4, 4, 8576),
+        (DIII, "equality", 2, 6, 0),
+        (DIII, "compatible", 2, 6, 512),
+        (CI, "equality", 2, 6, 0),
+        (CI, "compatible", 2, 6, 8448),
+        (DIII, "equality", 3, 6, 0),
+        (DIII, "compatible", 3, 6, 9216),
+        (CI, "equality", 3, 6, 9024),
+        (CI, "compatible", 3, 6, 94080),
+    ],
+)
+def test_good_sign_sums_frozen(cls, mode, n, m, want):
+    """Sign sums on cells beyond the reference enumeration's reach, frozen
+    from a chase that ran every one of the 2m elements separately; every
+    element of each cell had the same sum there."""
+    assert _good_sign_sums(cls, n, m, mode) == dict.fromkeys(dihedral_group(m), want)
+
+
 # -- exact finite-n variance ---------------------------------------------------
 
 
