@@ -3,7 +3,8 @@
 T_m is fixed by T_m(2 cos t) = 2 cos(m t), so T_0 = 2 and T_1 = x, with
 the scale folded in through T_m(x, sigma) = sigma^m T_m(x / sigma).
 Matrix traces Tr T_m(X, sigma) are evaluated with the three-term
-recurrence on two running matrices; no eigendecomposition.
+recurrence on two running matrices; no eigendecomposition.  Each call
+allocates its matrix stacks once and reuses them for every degree.
 """
 from __future__ import annotations
 
@@ -58,32 +59,58 @@ def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
 
     Accepts a MatrixSample, a dense Hermitian ndarray, or a stack of them
     of shape (..., dim, dim), giving traces of shape (..., M).  Imaginary
-    residue beyond 1e-9 * dim in any trace signals broken Hermiticity and
-    raises.
+    residue beyond 1e-9 * dim in any trace of a complex input signals
+    broken Hermiticity and raises; a real input has none.  The stacks of
+    the recurrence are allocated once per call.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     X = np.asarray(getattr(sample, "matrix", sample))
-    X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex: nxt below inherits it and is updated in place
+    X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex, like every stack below
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("matrix must be square")
+    return _recurrence_traces(X, M, sigma, [np.empty_like(X) for _ in range(_stack_count(M))])
+
+
+def _stack_count(M: int) -> int:
+    """Stacks that ``_recurrence_traces`` needs for degrees 1..M."""
+    return min(3, M - 1) + 1 if M > 1 else 0
+
+
+def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.ndarray:
+    """``trace_cheb_vector`` on a checked square float or complex stack X.
+
+    T_{m+1} = X T_m - sigma^2 T_{m-1} runs in up to three rotating stacks,
+    stacks[0..2], with sigma^2 T_{m-1} in the scratch stack stacks[-1];
+    ``stacks`` holds ``_stack_count(M)`` arrays shaped like X.  X is never
+    written to.
+    """
     dim = X.shape[-1]
     out = np.empty(X.shape[:-2] + (M,), dtype=float)
+    tr = np.empty(X.shape[:-2], dtype=X.dtype)
+    s2 = sigma * sigma
     prev = 2.0 * np.eye(dim, dtype=X.dtype)  # T_0, broadcast over the stack
-    cur = X  # T_1; never written to
+    cur = X  # T_1
+    complex_input = np.iscomplexobj(X)
     tol = 1e-9 * dim
     for m in range(1, M + 1):
-        tr = np.trace(cur, axis1=-2, axis2=-1)
-        residue = np.max(np.abs(np.imag(tr)), initial=0.0)
-        if residue > tol:
-            raise ValueError(
-                f"trace of degree {m} has imaginary part {residue:.3e}; input not Hermitian"
-            )
-        out[..., m - 1] = np.real(tr)
+        np.trace(cur, axis1=-2, axis2=-1, out=tr)
+        if complex_input:
+            residue = np.max(np.abs(tr.imag), initial=0.0)
+            if residue > tol:
+                raise ValueError(
+                    f"trace of degree {m} has imaginary part {residue:.3e}; input not Hermitian"
+                )
+            out[..., m - 1] = tr.real
+        else:
+            out[..., m - 1] = tr
         if m < M:
-            nxt = X @ cur
-            nxt -= (sigma * sigma) * prev  # in place: no fresh stack-sized buffer
+            # neither prev nor cur is the stack written here
+            nxt = stacks[(m - 1) % 3]
+            np.matmul(X, cur, out=nxt)
+            np.multiply(prev, s2, out=stacks[-1])
+            np.subtract(nxt, stacks[-1], out=nxt)
             prev, cur = cur, nxt
     return out

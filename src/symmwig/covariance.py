@@ -9,6 +9,13 @@ two independent brute-force oracles used to cross-check everything:
 a configuration oracle for finite-support entry laws and a moment oracle
 that factorizes entry products over equivalence classes.
 
+The configuration oracle splits the configuration index into low digits,
+whose matrices are built once, and high digits, one matrix per value added
+to the whole low block.  The moment oracle expands each power trace over
+rotation classes of walks and sums the integer coefficients of its cross
+terms by exponent histogram, so that each expectation is one exact sum
+over a few dozen histograms, rounded once.
+
 One enumeration pass serves every dihedral element: row one's walks start
 at index 0 only, and the sign sums are multiplied by 2n.  The start index
 does not matter because two index maps act transitively on the 2n
@@ -31,8 +38,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .chebyshev import cheb_coefficients, trace_cheb_vector
+from .chebyshev import _recurrence_traces, _stack_count, cheb_coefficients
 from .ensemble import (
+    BlockLayout,
     EntryModel,
     IndexPair,
     SymmetryClass,
@@ -375,6 +383,46 @@ def V_asymptotic(
 
 # -- configuration oracle ------------------------------------------------------
 
+_DOT_WINDOW = 1 << 13  # configurations per partial dot product
+_LOW_BLOCK = 1 << 9  # at most this many low-digit configurations
+
+
+def _config_blocks(
+    layout: BlockLayout, atoms: tuple[tuple[float, float], ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Scaled matrices and weights of every configuration, in index order.
+
+    Configuration i gives class c the atom of digit (i // A^c) % A.  The
+    first L classes, with A^L <= ``_LOW_BLOCK``, are the low digits: their
+    A^L matrices and weights are built once.  Each block is one value of
+    the high digits, the low block plus that value's matrix, which is exact
+    up to the sign of zero because every entry belongs to one class.  The
+    matrices of a block share one buffer, overwritten by the next block.
+    """
+    values = np.array([v for v, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    A, nc = len(atoms), layout.n_classes
+    scale = layout.unit / math.sqrt(layout.dim)
+    L = 0
+    while L < nc and A ** (L + 1) <= _LOW_BLOCK:
+        L += 1
+
+    def digits(count: int, width: int) -> np.ndarray:
+        return np.arange(count)[:, None] // A ** np.arange(width) % A
+
+    low = digits(A**L, L)
+    draws = np.zeros((len(low), nc))
+    draws[:, :L] = values[low]
+    x_low = scale * layout.assemble(draws)
+    w_low = probs[low].prod(axis=1)
+    buf = np.empty_like(x_low)
+    for high in digits(A ** (nc - L), nc - L):
+        draws = np.zeros(nc)
+        draws[L:] = values[high]
+        np.add(x_low, scale * layout.assemble(draws), out=buf)
+        yield buf, w_low * probs[high].prod()
+
+
 def cov_traces_config_oracle(
     symmetry_class: SymmetryClass,
     n: int,
@@ -383,13 +431,15 @@ def cov_traces_config_oracle(
     model: EntryModel,
     sigma: Optional[float] = None,
     budget: int = 10**7,
-    chunk: int = 8192,
 ) -> float:
     """Exact Cov(Tr T_m, Tr T_mu) for finite-support entry laws.
 
     Enumerates every joint assignment of the class variables, weights each
     configuration by its product probability, and evaluates both traces by
-    the literal matrix recurrence.
+    the literal matrix recurrence.  The configurations come from
+    ``_config_blocks``, a precomputed low-digit block plus one matrix per
+    value of the high digits; the weighted sums are taken over windows of
+    ``_DOT_WINDOW`` consecutive configurations and added with ``math.fsum``.
     """
     atoms = model.finite_support
     if atoms is None:
@@ -398,46 +448,69 @@ def cov_traces_config_oracle(
         raise ValueError("degrees must be >= 1")
     if sigma is None:
         sigma = model.sigma
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     layout = block_layout(symmetry_class, n)
     nc = layout.n_classes
     A = len(atoms)
-    n_cfg = A**nc
-    if n_cfg > budget:
+    if A**nc > budget:
         raise BudgetError(f"{A}^{nc} configurations exceed budget {budget}")
 
-    values = np.array([v for v, _ in atoms])
-    probs = np.array([p for _, p in atoms])
-
+    M = max(m, mu)
+    stacks: list = []  # the recurrence's stacks, shared by every block
+    tx, ty, w = (np.empty(_DOT_WINDOW) for _ in range(3))
     sx, sy, sxy = [], [], []
-    for lo in range(0, n_cfg, chunk):
-        idx = np.arange(lo, min(lo + chunk, n_cfg), dtype=np.int64)
-        digits = np.empty((len(idx), nc), dtype=np.int64)
-        rem = idx.copy()
-        for c in range(nc):
-            digits[:, c] = rem % A
-            rem //= A
-        w = probs[digits].prod(axis=1)
-        X = (layout.unit / math.sqrt(layout.dim)) * layout.assemble(values[digits])
-        t = trace_cheb_vector(X, max(m, mu), sigma)
-        tx = np.ascontiguousarray(t[:, m - 1])
-        ty = np.ascontiguousarray(t[:, mu - 1])
-        sx.append(float(np.dot(w, tx)))
-        sy.append(float(np.dot(w, ty)))
-        sxy.append(float(np.dot(w, tx * ty)))
+
+    def add_window(size: int) -> None:
+        x, y, p = tx[:size], ty[:size], w[:size]
+        sx.append(float(np.dot(p, x)))
+        sy.append(float(np.dot(p, y)))
+        sxy.append(float(np.dot(p, x * y)))
+
+    fill = 0
+    for X, wb in _config_blocks(layout, atoms):
+        if not stacks:
+            stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
+        t = _recurrence_traces(X, M, sigma, stacks)
+        pos = 0
+        while pos < len(wb):
+            take = min(len(wb) - pos, _DOT_WINDOW - fill)
+            tx[fill : fill + take] = t[pos : pos + take, m - 1]
+            ty[fill : fill + take] = t[pos : pos + take, mu - 1]
+            w[fill : fill + take] = wb[pos : pos + take]
+            fill += take
+            pos += take
+            if fill == _DOT_WINDOW:
+                add_window(fill)
+                fill = 0
+    if fill:
+        add_window(fill)
     ex, ey, exy = math.fsum(sx), math.fsum(sy), math.fsum(sxy)
     return exy - ex * ey
 
 
 # -- moment oracle ---------------------------------------------------------------
 
+_PAIR_BLOCK = 1 << 16  # monomial pairs per block of the cross-term pass
+
+
 def _power_trace_monomials(
     symmetry_class: SymmetryClass, n: int, k: int, budget: int
-) -> dict[tuple[int, ...], int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Tr(X_raw^k) as a signed sum of class-variable monomials.
 
     X_raw carries unnormalized entries with the DIII unit i stripped (the
-    caller reinstates i^k).  Keys are sorted class-id tuples (one id per
-    walk step), values are integer coefficients.
+    caller reinstates i^k).  Returns (exps, coefs): exps[r, c] (int8) is
+    the exponent of class c in monomial r and coefs[r] (int64) its nonzero
+    integer coefficient, rows in the lexicographic order of their sorted
+    class-id tuples.
+
+    A walk (p_0, ..., p_{k-1}) has the monomial and sign of each of its
+    rotations, so only walks that start at their least index are
+    enumerated, one value of p_0 at a time.  If that index occurs j times
+    in the walk, j/k of the walk's rotation orbit starts there, so the walk
+    stands for k/j walks; it is counted with weight L/j, L = lcm(1..k),
+    and each sum is multiplied by k/L at the end, exactly.
     """
     dim = 2 * n
     if dim**k > budget:
@@ -446,38 +519,67 @@ def _power_trace_monomials(
     n_classes = int(cls_id.max()) + 1
     if n_classes**k >= 2**63:
         raise BudgetError(f"{n_classes}^{k} monomial keys exceed int64")
-    grids = np.meshgrid(*([np.arange(dim)] * k), indexing="ij")
-    walk = np.stack([gr.ravel() for gr in grids], axis=1).astype(np.int32)
-    c = np.empty_like(walk)
-    s = np.ones(walk.shape[0], dtype=np.int64)
-    valid = np.ones(walk.shape[0], dtype=bool)
-    for l in range(k):
-        pl, ql = walk[:, l], walk[:, (l + 1) % k]
-        c[:, l] = cls_id[pl, ql]
-        valid &= c[:, l] >= 0
-        s *= sign[pl, ql]
-    c = np.sort(c[valid], axis=1)
-    s = s[valid]
-    # one int64 per sorted row, base n_classes with the first id most
-    # significant: numeric order is the lexicographic order of the rows
-    code = np.zeros(len(c), dtype=np.int64)
-    for l in range(k):
-        code = code * n_classes + c[:, l]
-    uniq, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inv, s)
-    out: dict[tuple[int, ...], int] = {}
-    for row, coef in zip(c[first].tolist(), sums.tolist()):
-        if coef:
-            out[tuple(row)] = coef
-    return out
+    L = math.lcm(*range(1, k + 1))
+    codes, weights = [], []
+    for low in range(dim):
+        # axes 0..k-2 carry p_1..p_{k-1}, each in low..dim-1
+        shape = (dim - low,) * (k - 1)
 
+        def on_grid(table: np.ndarray, *axes: int) -> np.ndarray:
+            dims = [1] * (k - 1)
+            for ax in axes:
+                dims[ax] = dim - low
+            return np.broadcast_to(table.reshape(dims), shape).ravel()
 
-def _mono_exponents(mono: tuple[int, ...]) -> dict[int, int]:
-    e: dict[int, int] = defaultdict(int)
-    for cid in mono:
-        e[cid] += 1
-    return dict(e)
+        def slot(table: np.ndarray, l: int) -> np.ndarray:
+            """Table entry at (p_l, p_{l+1 mod k}) for every walk."""
+            if k == 1:
+                return table[low : low + 1, low]
+            if l == 0:
+                return on_grid(table[low, low:], 0)
+            if l == k - 1:
+                return on_grid(table[low:, low], k - 2)
+            return on_grid(table[low:, low:], l - 1, l)
+
+        c = np.stack([slot(cls_id, l) for l in range(k)])
+        s = np.ones(c.shape[1], dtype=np.int64)
+        for l in range(k):
+            s *= slot(sign, l)
+        j = np.ones(c.shape[1], dtype=np.int64)
+        for ax in range(k - 1):
+            j += on_grid(np.arange(dim - low) == 0, ax)
+        valid = np.all(c >= 0, axis=0)
+        c, w = c[:, valid], s[valid] * (L // j[valid])
+        # sort each walk's classes with a bubble network over the rows
+        for top in range(k - 1, 0, -1):
+            for l in range(top):
+                least = np.minimum(c[l], c[l + 1])
+                np.maximum(c[l], c[l + 1], out=c[l + 1])
+                c[l] = least
+        # one int64 per sorted walk, base n_classes with the first id most
+        # significant: numeric order is the lexicographic order of the rows
+        code = np.zeros(c.shape[1], dtype=np.int64)
+        for row in c:
+            code *= n_classes
+            code += row
+        codes.append(code)
+        weights.append(w)
+    code = np.concatenate(codes)
+    order = np.argsort(code)
+    code = code[order]
+    if not len(code):
+        return np.zeros((0, n_classes), dtype=np.int8), np.zeros(0, dtype=np.int64)
+    first = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+    sums = np.add.reduceat(np.concatenate(weights)[order], first) * k
+    assert not np.any(sums % L), "rotation weights must sum to whole walks"
+    sums //= L
+    keep = sums != 0
+    ids = code[first[keep]]
+    exps = np.zeros((len(ids), n_classes), dtype=np.int8)
+    for _ in range(k):
+        np.add.at(exps, (np.arange(len(ids)), ids % n_classes), 1)
+        ids //= n_classes
+    return exps, sums[keep]
 
 
 def cov_traces_moment_oracle(
@@ -502,12 +604,125 @@ def cov_traces_moment_oracle(
 
 def _power_expansion(
     cache: dict, symmetry_class: SymmetryClass, n: int, k: int, budget: int
-) -> dict[tuple[int, ...], int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``_power_trace_monomials``, kept in ``cache`` under ("trace", k)."""
     key = ("trace", k)
     if key not in cache:
         cache[key] = _power_trace_monomials(symmetry_class, n, k, budget)
     return cache[key]
+
+
+def _histogram_places(K: int, n_classes: int) -> np.ndarray:
+    """place[v]: the weight of exponent v in the code of an exponent histogram.
+
+    A monomial of degree at most K has at most min(K // v, n_classes)
+    classes at exponent v, so that count is one mixed-radix digit, and the
+    code of a monomial is the sum of place[e_c] over its classes
+    (place[0] = 0).  The codes stay below 2^20 for K = 12; degrees whose
+    codes would not fit int64 raise BudgetError.
+    """
+    place, span = [0], 1
+    for v in range(1, K + 1):
+        place.append(span)
+        span *= min(K // v, n_classes) + 1
+    if span >= 2**63:
+        raise BudgetError(f"exponent histograms of degree {K} exceed int64")
+    return np.array(place, dtype=np.int64)
+
+
+def _add_grouped(acc: dict[int, int], codes: np.ndarray, coefs: np.ndarray) -> None:
+    """acc[code] += the integer sum of coefs under that code."""
+    uniq, inv = np.unique(codes, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inv.ravel(), coefs)
+    for code, total in zip(uniq.tolist(), sums.tolist()):
+        acc[code] = acc.get(code, 0) + total
+
+
+def _histogram_value(acc: dict[int, int], place: np.ndarray, mom: list[float]) -> float:
+    """sum over codes of acc[code] * prod_v mom[v]^(count at v), exactly,
+    rounded once."""
+    total = Fraction(0)
+    for code, coef in acc.items():
+        term = Fraction(coef)
+        for v in range(len(place) - 1, 0, -1):  # most significant digit first
+            count, code = divmod(code, int(place[v]))
+            if count:
+                term *= Fraction(mom[v]) ** count
+        total += term
+    return float(total)
+
+
+def _cross_histograms(
+    P1: tuple[np.ndarray, np.ndarray],
+    P2: tuple[np.ndarray, np.ndarray],
+    prune: bool,
+    place: np.ndarray,
+) -> dict[int, int]:
+    """Integer sum of c1 * c2 over monomial pairs, by the histogram code
+    of the merged exponents.
+
+    With ``prune`` only pairs with equal odd-exponent signatures are
+    formed; every other pair has an odd merged exponent, whose moment is
+    zero.  The pairs are built in blocks of at most ``_PAIR_BLOCK``.  A
+    monomial of P1 has at most k1 classes, so the code of a pair is the
+    code of its P2 monomial plus one correction per P1 class:
+    place[x + y] - place[y], for exponents x in P1 and y in P2.
+    """
+    (e1, c1), (e2, c2) = P1, P2
+    acc: dict[int, int] = {}
+    if not len(c1) or not len(c2):
+        return acc
+    if prune:
+        odd = np.packbits(np.concatenate([e1, e2]) & 1, axis=1)
+        label = np.unique(odd.view(f"V{odd.shape[1]}").ravel(), return_inverse=True)[1]
+    else:
+        label = np.zeros(len(c1) + len(c2), dtype=np.intp)
+    l1, l2 = label[: len(c1)], label[len(c1) :]
+    n_labels = int(label.max()) + 1
+    o1, o2 = np.argsort(l1, kind="stable"), np.argsort(l2, kind="stable")
+    n1 = np.bincount(l1, minlength=n_labels)
+    n2 = np.bincount(l2, minlength=n_labels)
+    live = np.nonzero(n1 * n2)[0]
+    start1 = (np.cumsum(n1) - n1)[live]
+    start2 = (np.cumsum(n2) - n2)[live]
+    n2 = n2[live]
+    offset = np.concatenate([[0], np.cumsum(n1[live] * n2)])
+
+    # P1 sparse: slot a of monomial r holds class cls1[a, r] at exponent
+    # ex1[a, r]; unused slots point at the zero column C of P2
+    C = e1.shape[1]
+    rows, cols = np.nonzero(e1)
+    count = np.bincount(rows, minlength=len(c1))
+    slot = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+    cls1 = np.full((int(count.max()), len(c1)), C, dtype=np.intp)
+    ex1 = np.zeros_like(cls1)
+    cls1[slot, rows] = cols
+    ex1[slot, rows] = e1[rows, cols]
+    e2z = np.zeros((len(c2), C + 1), dtype=np.int8)
+    e2z[:, :C] = e2
+    e2z = e2z.ravel()
+    code2 = place[e2].sum(axis=1)
+    K = len(place) - 1
+    v = np.arange(K + 1)
+    # x + y <= K on every pair; the clip only fills the unused corner
+    step = (place[np.minimum(np.add.outer(v, v), K)] - place).ravel()
+
+    # blocks small enough that no int64 sum of c1 * c2 in one block overflows
+    bound = int(np.abs(c1).max()) * int(np.abs(c2).max())
+    block = max(1, min(_PAIR_BLOCK, (2**63 - 1) // bound))
+    for lo in range(0, int(offset[-1]), block):
+        t = np.arange(lo, min(lo + block, int(offset[-1])))
+        g = np.searchsorted(offset, t, side="right") - 1
+        local = t - offset[g]
+        i = o1[start1[g] + local // n2[g]]
+        j = o2[start2[g] + local % n2[g]]
+        codes = code2[j]
+        row2 = j * (C + 1)
+        for cls, ex in zip(cls1, ex1):
+            codes += step[ex[i] * (K + 1) + e2z[row2 + cls[i]]]
+        _add_grouped(acc, codes, c1[i] * c2[j])
+    return acc
 
 
 def _power_covariance(
@@ -520,7 +735,14 @@ def _power_covariance(
     cache: dict,
 ) -> float:
     """``cov_traces_moment_oracle`` for k1, k2 >= 1, taking the power-trace
-    expansions from ``cache`` and storing the ones it builds there."""
+    expansions from ``cache`` and storing the ones it builds there.
+
+    A product of class moments depends only on the histogram of the
+    exponents (how many classes carry each exponent), so the integer
+    coefficients of E[XY], E[X] and E[Y] are summed exactly per histogram,
+    and each expectation is one exact sum over a few dozen histograms,
+    rounded once.
+    """
     if (k1 + k2) % 2 == 1:
         # one trace is an odd polynomial of an ensemble symmetric under
         # X -> -X conjugation, hence identically zero
@@ -528,43 +750,15 @@ def _power_covariance(
     P1 = _power_expansion(cache, symmetry_class, n, k1, budget)
     P2 = _power_expansion(cache, symmetry_class, n, k2, budget)
     mom = [model.moment(v) for v in range(k1 + k2 + 1)]
+    place = _histogram_places(k1 + k2, P1[0].shape[1])
 
-    def expect(P: dict[tuple[int, ...], int]) -> float:
-        vals = []
-        for mono, coef in P.items():
-            e = _mono_exponents(mono)
-            if any(v % 2 for v in e.values()) and model.odd_moments_vanish(
-                max(e.values())
-            ):
-                continue
-            vals.append(coef * math.prod(mom[v] for v in e.values()))
-        return math.fsum(vals)
+    def expect(P: tuple[np.ndarray, np.ndarray]) -> float:
+        acc: dict[int, int] = {}
+        _add_grouped(acc, place[P[0]].sum(axis=1), P[1])
+        return _histogram_value(acc, place, mom)
 
     prune = model.odd_moments_vanish(k1 + k2)
-
-    def grouped(P):
-        g = defaultdict(list)
-        for mono, coef in P.items():
-            e = _mono_exponents(mono)
-            sig = frozenset(c for c, v in e.items() if v % 2) if prune else None
-            g[sig].append((coef, e))
-        return g
-
-    g1, g2 = grouped(P1), grouped(P2)
-
-    def cross_terms():
-        for sig, lst1 in g1.items():
-            lst2 = g2.get(sig)
-            if not lst2:
-                continue
-            for c1, e1 in lst1:
-                for c2, e2 in lst2:
-                    merged = dict(e1)
-                    for cid, v in e2.items():
-                        merged[cid] = merged.get(cid, 0) + v
-                    yield c1 * c2 * math.prod(mom[v] for v in merged.values())
-
-    exy = math.fsum(cross_terms())
+    exy = _histogram_value(_cross_histograms(P1, P2, prune, place), place, mom)
     ex, ey = expect(P1), expect(P2)
     if symmetry_class is SymmetryClass.DIII:
         unit = (-1.0) ** ((k1 + k2) // 2)

@@ -129,3 +129,33 @@ def test_non_finite_or_non_positive_sigma_rejected(sigma):
         cheb_coefficients(2, sigma)
     with pytest.raises(ValueError, match="sigma"):
         trace_cheb_vector(np.eye(2), 2, sigma)
+
+
+def literal_traces(X, M, sigma):
+    """T_{m+1} = X T_m - sigma^2 T_{m-1} with a fresh matrix per degree."""
+    prev, cur = 2.0 * np.eye(X.shape[-1], dtype=X.dtype), X
+    out = []
+    for m in range(1, M + 1):
+        out.append(np.real(np.trace(cur, axis1=-2, axis2=-1)))
+        nxt = X @ cur
+        nxt -= (sigma * sigma) * prev
+        prev, cur = cur, nxt
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+@pytest.mark.parametrize("sigma", (1.0, 0.7))
+@pytest.mark.parametrize("dim", (3, 8, 17))
+def test_reused_stacks_match_literal_recurrence(M, sigma, dim):
+    """Rotating stacks, in-place products and traces written into one
+    buffer give the literal recurrence's floats, real and complex; dim 17
+    sums its diagonals past numpy's 8-wide unrolled block."""
+    rng = np.random.default_rng(dim * 100 + M)
+    A = rng.normal(size=(5, dim, dim)) / math.sqrt(4 * dim)
+    B = rng.normal(size=(5, dim, dim)) / math.sqrt(4 * dim)
+    real = A + A.swapaxes(1, 2)
+    herm = real + 1j * (B - B.swapaxes(1, 2))
+    for X in (real, herm, real[0], herm[0]):
+        got = trace_cheb_vector(X, M, sigma)
+        assert got.shape == X.shape[:-2] + (M,)
+        assert np.array_equal(got, literal_traces(X, M, sigma))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symmwig.cli import dispatch, load_config
+from symmwig.cli import _SUBCOMMANDS, dispatch, load_config
 
 
 def run(capsys, *argv):
@@ -273,6 +273,36 @@ def test_bad_sigma_rejected_with_atoms(capsys, argv, sigma):
     assert code == 1
     assert out == ""
     assert "sigma must be positive and finite" in err
+
+
+SIGMA_COMMANDS = (
+    ("traces", "--class", "CI", "--n", "2"),
+    ("variance", "--class", "CI", "--m", "4", "--mode", "asymptotic"),
+    ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3"),
+    ("variance", "--class", "CI", "--m", "4", "--mode", "oracle", "--n", "2"),
+    ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "moment"),
+    ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "config"),
+    ("simulate", "--class", "CI", "--n", "2", "--samples", "10"),
+    ("report", "--class", "CI", "--n", "2", "--samples", "10"),
+)
+
+
+def test_sigma_commands_cover_every_subcommand_with_sigma():
+    takes_sigma = {
+        name for name, (_, _, opts) in _SUBCOMMANDS.items() if any(o.name == "sigma" for o in opts)
+    }
+    assert takes_sigma == {argv[0] for argv in SIGMA_COMMANDS}
+
+
+@pytest.mark.parametrize("argv", SIGMA_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize("sigma", ("nan", "inf", "-1"))
+def test_bad_sigma_rejected_on_every_subcommand(capsys, argv, sigma):
+    """The default family of each subcommand, every mode and oracle kind:
+    exit 1, nothing on stdout, one error line."""
+    code, out, err = run(capsys, *argv, "--sigma", sigma)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: sigma must be positive and finite"]
 
 
 def test_exact_variance_rejects_sigma_off_the_atom_scale(capsys):

@@ -1,0 +1,149 @@
+"""The moment oracle against pairwise references.
+
+``_power_trace_monomials`` enumerates rotation classes of walks, and
+``_power_covariance`` sums cross terms by exponent histogram.  The
+references here do neither: one expands Tr X^k walk by walk, the other
+crosses every pair of monomials with equal odd-exponent signature and
+adds one float term per pair.
+"""
+import functools
+import itertools
+import math
+from collections import defaultdict
+
+import pytest
+
+from symmwig.covariance import _power_covariance, _power_trace_monomials
+from symmwig.ensemble import EntryModel, SymmetryClass, class_tables
+
+DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
+BUDGET = 10**8
+
+# (name, law, bit-equal): every term of the pairwise sum is exact in
+# floating point at sigma^2 = 1 and for dyadic atoms, so both sums round
+# the same exact value
+LAWS = [
+    ("gaussian", EntryModel.gaussian(), True),
+    ("gaussian-0.49", EntryModel.gaussian(0.49), False),
+    ("rademacher", EntryModel.rademacher(), True),
+    ("rademacher-0.49", EntryModel.rademacher(0.49), False),
+    ("atoms-dyadic", EntryModel.from_atoms([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]), True),
+    ("atoms-skewed", EntryModel.from_atoms([(-1.0, 2 / 3), (2.0, 1 / 3)]), False),
+]
+CELLS = [(CI, 2), (CI, 3), (DIII, 2), (DIII, 3), (DIII, 4)]
+POWERS = [(k1, k2) for k2 in range(1, 7) for k1 in range(1, k2 + 1)]
+
+
+def walk_expansion(symmetry_class, n, k):
+    """Tr X_raw^k as {sorted class-id tuple: coefficient}, one walk at a time."""
+    cls_id, sign = (t.tolist() for t in class_tables(symmetry_class, n))
+    out = defaultdict(int)
+    for walk in itertools.product(range(2 * n), repeat=k):
+        steps = [(walk[l], walk[(l + 1) % k]) for l in range(k)]
+        if any(cls_id[p][q] < 0 for p, q in steps):
+            continue
+        key = tuple(sorted(cls_id[p][q] for p, q in steps))
+        out[key] += math.prod(sign[p][q] for p, q in steps)
+    return {key: coef for key, coef in sorted(out.items()) if coef}
+
+
+@functools.lru_cache(maxsize=None)
+def exponent_dicts(symmetry_class, n, k):
+    """The oracle's expansion as a list of (coefficient, {class: exponent})."""
+    exps, coefs = _power_trace_monomials(symmetry_class, n, k, BUDGET)
+    return [
+        (int(coef), {int(c): int(e) for c, e in enumerate(row) if e})
+        for row, coef in zip(exps, coefs)
+    ]
+
+
+def pairwise_covariances(symmetry_class, n, k1, k2, models):
+    """Cov(Tr X^k1, Tr X^k2) under each model, with one float term per
+    monomial pair; the models must agree on odd-signature pruning."""
+    if (k1 + k2) % 2 == 1:
+        return [0.0] * len(models)
+    P1 = exponent_dicts(symmetry_class, n, k1)
+    P2 = exponent_dicts(symmetry_class, n, k2)
+    moms = [[model.moment(v) for v in range(k1 + k2 + 1)] for model in models]
+    (prune,) = {model.odd_moments_vanish(k1 + k2) for model in models}
+
+    def expect(P, model, mom):
+        vals = []
+        for coef, e in P:
+            if any(v % 2 for v in e.values()) and model.odd_moments_vanish(max(e.values())):
+                continue
+            vals.append(coef * math.prod(mom[v] for v in e.values()))
+        return math.fsum(vals)
+
+    def grouped(P):
+        g = defaultdict(list)
+        for coef, e in P:
+            sig = frozenset(c for c, v in e.items() if v % 2) if prune else None
+            g[sig].append((coef, e))
+        return g
+
+    g1, g2 = grouped(P1), grouped(P2)
+    terms = [[] for _ in models]
+    for sig, lst1 in g1.items():
+        for c1, e1 in lst1:
+            for c2, e2 in g2.get(sig, ()):
+                merged = dict(e1)
+                for cid, v in e2.items():
+                    merged[cid] = merged.get(cid, 0) + v
+                for mom, out in zip(moms, terms):
+                    out.append(c1 * c2 * math.prod(mom[v] for v in merged.values()))
+
+    unit = (-1.0) ** ((k1 + k2) // 2) if symmetry_class is DIII else 1.0
+    norm = float(2 * n) ** (-(k1 + k2) // 2)
+    covs = []
+    for model, mom, cross in zip(models, moms, terms):
+        exy = math.fsum(cross)
+        ex, ey = expect(P1, model, mom), expect(P2, model, mom)
+        covs.append(unit * norm * (exy - ex * ey))
+    return covs
+
+
+@pytest.mark.parametrize("cls,n,k", [
+    (CI, 1, 4), (CI, 2, 1), (CI, 2, 4), (CI, 2, 6), (CI, 3, 5), (CI, 3, 6),
+    (DIII, 2, 1), (DIII, 2, 6), (DIII, 3, 4), (DIII, 3, 6),
+])
+def test_expansion_matches_walk_by_walk(cls, n, k):
+    """Rotation classes with weights L/j give every walk's monomial exactly
+    once, in lexicographic row order, with zero coefficients dropped."""
+    exps, coefs = _power_trace_monomials(cls, n, k, BUDGET)
+    got = {
+        tuple(c for c, e in enumerate(row) for _ in range(e)): int(coef)
+        for row, coef in zip(exps.tolist(), coefs)
+    }
+    want = walk_expansion(cls, n, k)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def check_against_pairwise(cls, n, laws, powers):
+    caches = [{} for _ in laws]
+    for k1, k2 in powers:
+        wants = pairwise_covariances(cls, n, k1, k2, [model for _, model, _ in laws])
+        for (name, model, bit_equal), cache, want in zip(laws, caches, wants):
+            got = _power_covariance(cls, n, k1, k2, model, BUDGET, cache)
+            if bit_equal:
+                assert got == want, (name, k1, k2)
+            else:
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (name, k1, k2)
+
+
+@pytest.mark.parametrize("cls,n", CELLS)
+def test_histogram_sums_match_pairwise(cls, n):
+    """Histogram grouping against one float term per pair, every symmetric
+    law, every (k1, k2) with k1 <= k2 <= 6."""
+    check_against_pairwise(cls, n, LAWS[:-1], POWERS)
+
+
+@pytest.mark.parametrize("cls,n", CELLS)
+def test_histogram_sums_match_pairwise_skewed(cls, n):
+    """The skewed law has odd moments, so every pair of monomials is
+    crossed; on the two largest cells (6, 6) alone is 4e5-6e5 pairs, and
+    there the grid stops at k1 + k2 <= 10."""
+    large = (cls, n) in ((CI, 3), (DIII, 4))
+    powers = [(k1, k2) for k1, k2 in POWERS if not large or k1 + k2 <= 10]
+    check_against_pairwise(cls, n, LAWS[-1:], powers)
