@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -75,15 +76,38 @@ class RunManifest:
         }
 
 
+def _blas_threads() -> Optional[int]:
+    """OpenBLAS's own thread count, asked through numpy's loaded library;
+    None when no OpenBLAS thread query can be found."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            return int(fn())
+    return None
+
+
 def _environment() -> dict:
-    """Python, numpy and BLAS behind a run, and whether run_simulation pins
-    BLAS to one thread (it can only when threadpoolctl imports)."""
+    """Python, numpy and BLAS behind a run, the BLAS thread count outside
+    a run, and whether run_simulation pins BLAS to one thread (it can only
+    when threadpoolctl imports)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
         "blas_pinned": threadpool_limits is not None,
     }
 

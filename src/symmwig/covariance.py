@@ -11,7 +11,8 @@ that factorizes entry products over equivalence classes.
 
 The configuration oracle splits the configuration index into low digits,
 whose matrices are built once, and high digits, one matrix per value added
-to the whole low block.  The moment oracle expands each power trace over
+to the whole low block, and runs the recurrence on one block per sign orbit
+of the high digits.  The moment oracle expands each power trace over
 rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms, rounded once.
@@ -29,9 +30,7 @@ modes.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -42,7 +41,6 @@ from .chebyshev import _recurrence_traces, _stack_count, cheb_coefficients
 from .ensemble import (
     BlockLayout,
     EntryModel,
-    IndexPair,
     SymmetryClass,
     block_layout,
     build_equivalence_classes,
@@ -53,13 +51,8 @@ from .patterns import BudgetError, DihedralElement, dihedral_group
 
 __all__ = [
     "BudgetError",
-    "MultiIndex",
-    "InducedPartition",
     "PerGContribution",
     "CovReport",
-    "enumerate_consistent_multiindices",
-    "induced_partition",
-    "good_multiindices",
     "V_n_exact",
     "V_asymptotic",
     "cov_traces_config_oracle",
@@ -69,119 +62,6 @@ __all__ = [
 ]
 
 PARTITION_MODES = ("equality", "compatible")
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Two cyclically consistent rows of index pairs.
-
-    Row i is ((p_1,p_2), (p_2,p_3), ..., (p_{k_i},p_1)): the second
-    coordinate of each pair feeds the first coordinate of the next, so a
-    row is determined by its p-sequence.
-    """
-
-    k1: int
-    k2: int
-    rows: tuple[tuple[IndexPair, ...], tuple[IndexPair, ...]]
-
-    def __post_init__(self) -> None:
-        if (self.k1, self.k2) != (len(self.rows[0]), len(self.rows[1])):
-            raise ValueError("row lengths disagree with k1, k2")
-        for row in self.rows:
-            k = len(row)
-            for l in range(k):
-                if row[l][1] != row[(l + 1) % k][0]:
-                    raise ValueError(f"row {row} is not cyclically consistent")
-
-    @classmethod
-    def from_p_sequences(cls, p1: tuple[int, ...], p2: tuple[int, ...]) -> "MultiIndex":
-        row1 = tuple((p1[l], p1[(l + 1) % len(p1)]) for l in range(len(p1)))
-        row2 = tuple((p2[l], p2[(l + 1) % len(p2)]) for l in range(len(p2)))
-        return cls(len(p1), len(p2), (row1, row2))
-
-
-@dataclass(frozen=True)
-class InducedPartition:
-    """Partition of the row-slot labels (i, l) by entry equivalence."""
-
-    blocks: frozenset[frozenset[tuple[int, int]]]
-
-    def refines_into(self, other: frozenset[frozenset[tuple[int, int]]]) -> bool:
-        """Whether every block of ``other`` sits inside one block of self."""
-        where = {}
-        for b in self.blocks:
-            for lab in b:
-                where[lab] = b
-        return all(len({where[lab] for lab in blk}) == 1 for blk in other)
-
-
-def enumerate_consistent_multiindices(
-    dim: int, k1: int, k2: int, budget: int = 10**8
-) -> Iterator[MultiIndex]:
-    """All dim^k1 * dim^k2 consistent row pairs on indices 1..dim."""
-    if k1 < 1 or k2 < 1:
-        raise ValueError("row lengths must be positive")
-    count = dim ** (k1 + k2)
-    if count > budget:
-        raise BudgetError(f"{count} multi-indices exceed budget {budget}")
-    rng = range(1, dim + 1)
-    for p1 in itertools.product(rng, repeat=k1):
-        for p2 in itertools.product(rng, repeat=k2):
-            yield MultiIndex.from_p_sequences(p1, p2)
-
-
-def induced_partition(
-    P: MultiIndex, symmetry_class: SymmetryClass, n: int
-) -> InducedPartition:
-    """Group the slots (i, l) whose index pairs share an entry class.
-
-    Raises ValueError if any slot meets a forced zero entry (those
-    multi-indices contribute nothing and have no induced partition).
-    """
-    by_class: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    for i, row in enumerate(P.rows, start=1):
-        for l, pair in enumerate(row, start=1):
-            hit = class_of(symmetry_class, n, pair)
-            if hit is None:
-                raise ValueError(f"slot ({i},{l}) meets a forced zero entry {pair}")
-            by_class[hit[0]].add((i, l))
-    return InducedPartition(frozenset(frozenset(v) for v in by_class.values()))
-
-
-def good_multiindices(
-    g: DihedralElement,
-    symmetry_class: SymmetryClass,
-    n: int,
-    m: int,
-    partition_mode: str = "equality",
-    budget: int = 10**8,
-) -> list[MultiIndex]:
-    """Consistent multi-indices whose induced partition matches pi_g.
-
-    Reference enumeration (one MultiIndex at a time); the exact-variance
-    path below recomputes the same set with vectorized bookkeeping.  In
-    "equality" mode the induced partition must equal pi_g exactly; in
-    "compatible" mode it may merge additional slots on top of pi_g.
-    """
-    if partition_mode not in PARTITION_MODES:
-        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
-    if g.m != m:
-        raise ValueError("group element length disagrees with m")
-    target = frozenset(
-        frozenset({(1, l), (2, g(l))}) for l in range(1, m + 1)
-    )
-    out = []
-    for P in enumerate_consistent_multiindices(2 * n, m, m, budget=budget):
-        try:
-            ind = induced_partition(P, symmetry_class, n)
-        except ValueError:
-            continue
-        if partition_mode == "equality":
-            if ind.blocks == target:
-                out.append(P)
-        elif ind.refines_into(target):
-            out.append(P)
-    return out
 
 
 # -- vectorized good-set sign sums --------------------------------------------
@@ -299,6 +179,11 @@ def _pair_moment_unit(symmetry_class: SymmetryClass) -> int:
     return -1 if symmetry_class is SymmetryClass.DIII else 1
 
 
+def _square_variance(model: EntryModel) -> Fraction:
+    """Var(g^2) = E g^4 - (E g^2)^2, exactly."""
+    return model.exact_moment(4) - model.exact_moment(2) ** 2
+
+
 def _dihedral_value(
     symmetry_class: SymmetryClass, n: int, m: int, model: EntryModel, sign_sum: int
 ) -> float:
@@ -345,12 +230,11 @@ def V_n_exact(
                     acc += hp[1] * hq[1] * unit
         return float(acc) * model.sigma2 / dim
     if m == 2:
-        var4 = model.moment(4) - model.sigma2**2
         ksum = sum(
             sum(1 for (p, q) in c.members if p != q) ** 2
             for c in build_equivalence_classes(symmetry_class, n)
         )
-        return float(Fraction(ksum, dim**2)) * var4
+        return float(Fraction(ksum, dim**2) * _square_variance(model))
     sums = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
     return _dihedral_value(symmetry_class, n, m, model, sum(sums.values()))
 
@@ -375,7 +259,7 @@ def V_asymptotic(
             raise ValueError("the m=2 limit depends on the entry model")
         if abs(model.sigma2 - sigma**2) > 1e-12 * max(1.0, sigma**2):
             raise ValueError("sigma disagrees with the model's second moment")
-        return 4.0 * (model.moment(4) - model.sigma2**2), "derived"
+        return float(4 * _square_variance(model)), "derived"
     if m % 2 == 1:
         return 0.0, "theorem"
     return 4.0 * m * float(sigma) ** (2 * m), "theorem"
@@ -387,22 +271,12 @@ _DOT_WINDOW = 1 << 13  # configurations per partial dot product
 _LOW_BLOCK = 1 << 9  # at most this many low-digit configurations
 
 
-def _config_blocks(
-    layout: BlockLayout, atoms: tuple[tuple[float, float], ...]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Scaled matrices and weights of every configuration, in index order.
+def _config_digits(A: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high digit rows of the configuration index, in index order.
 
     Configuration i gives class c the atom of digit (i // A^c) % A.  The
-    first L classes, with A^L <= ``_LOW_BLOCK``, are the low digits: their
-    A^L matrices and weights are built once.  Each block is one value of
-    the high digits, the low block plus that value's matrix, which is exact
-    up to the sign of zero because every entry belongs to one class.  The
-    matrices of a block share one buffer, overwritten by the next block.
+    first L classes, with A^L <= ``_LOW_BLOCK``, are the low digits.
     """
-    values = np.array([v for v, _ in atoms])
-    probs = np.array([p for _, p in atoms])
-    A, nc = len(atoms), layout.n_classes
-    scale = layout.unit / math.sqrt(layout.dim)
     L = 0
     while L < nc and A ** (L + 1) <= _LOW_BLOCK:
         L += 1
@@ -410,17 +284,98 @@ def _config_blocks(
     def digits(count: int, width: int) -> np.ndarray:
         return np.arange(count)[:, None] // A ** np.arange(width) % A
 
-    low = digits(A**L, L)
+    return digits(A**L, L), digits(A ** (nc - L), nc - L)
+
+
+def _config_blocks(
+    layout: BlockLayout, atoms: tuple[tuple[float, float], ...], low: np.ndarray
+):
+    """Block builder: high-digit row -> scaled matrices of its block.
+
+    The A^L matrices of the low digits are built once.  The block of one
+    high-digit value is the low block plus that value's matrix, which is
+    exact up to the sign of zero because every entry belongs to one class.
+    Every block is written into one buffer, overwritten by the next.
+    """
+    values = np.array([v for v, _ in atoms])
+    nc, L = layout.n_classes, low.shape[1]
+    scale = layout.unit / math.sqrt(layout.dim)
     draws = np.zeros((len(low), nc))
     draws[:, :L] = values[low]
     x_low = scale * layout.assemble(draws)
-    w_low = probs[low].prod(axis=1)
     buf = np.empty_like(x_low)
-    for high in digits(A ** (nc - L), nc - L):
+
+    def block(high: np.ndarray) -> np.ndarray:
         draws = np.zeros(nc)
         draws[L:] = values[high]
         np.add(x_low, scale * layout.assemble(draws), out=buf)
-        yield buf, w_low * probs[high].prod()
+        return buf
+
+    return block
+
+
+def _config_weights(
+    atoms: tuple[tuple[float, float], ...], low: np.ndarray, high: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Product probabilities of every block, in index order."""
+    probs = np.array([p for _, p in atoms])
+    w_low = probs[low].prod(axis=1)
+    for row in high:
+        yield w_low * probs[row].prod()
+
+
+def _class_flips(symmetry_class: SymmetryClass, n: int) -> np.ndarray:
+    """GF(2) rows of the sign maps: which classes each generator negates.
+
+    Row r, column c < n_classes, is set when generator r multiplies class c
+    by -1; the last column is set when generator r negates X.  The
+    generators are X -> -X, and X -> D X D with D = diag(d, eps d) for
+    d_j = -1 (j = 2..n) and for eps = -1.  D X D multiplies the entry at
+    (p, q) by D_p D_q, and every member of a class must agree on it.
+    """
+    cls_id, _ = class_tables(symmetry_class, n)
+    nc = int(cls_id.max()) + 1
+    live = cls_id >= 0
+    diagonals = []
+    for j in range(1, n):
+        d = np.ones(2 * n)
+        d[[j, n + j]] = -1.0
+        diagonals.append(d)
+    diagonals.append(np.repeat([1.0, -1.0], n))
+    rows = [np.ones(nc + 1, dtype=bool)]
+    for d in diagonals:
+        flip = (np.outer(d, d) < 0)[live]
+        row = np.zeros(nc + 1, dtype=bool)
+        row[cls_id[live]] = flip
+        assert np.array_equal(row[cls_id[live]], flip), "members of a class disagree"
+        rows.append(row)
+    return np.array(rows)
+
+
+def _orbit_basis(flips: np.ndarray, L: int) -> tuple[list[int], np.ndarray]:
+    """Pivot classes and reduced rows spanning ``flips`` over the high classes.
+
+    Gaussian elimination over GF(2) with pivots among the high classes
+    (L <= c < n_classes) only: row i flips its pivot class and no other
+    pivot.  Rows that flip no high class are dropped.
+    """
+    nc = flips.shape[1] - 1
+    pivots: list[int] = []
+    basis: list[np.ndarray] = []
+    for v in flips:
+        v = v.copy()
+        for p, b in zip(pivots, basis):
+            if v[p]:
+                v ^= b
+        hits = np.flatnonzero(v[L:nc])
+        if len(hits):
+            p = L + int(hits[0])
+            for b in basis:
+                if b[p]:
+                    b ^= v
+            pivots.append(p)
+            basis.append(v)
+    return pivots, np.array(basis, dtype=bool).reshape(len(basis), nc + 1)
 
 
 def cov_traces_config_oracle(
@@ -434,12 +389,38 @@ def cov_traces_config_oracle(
 ) -> float:
     """Exact Cov(Tr T_m, Tr T_mu) for finite-support entry laws.
 
-    Enumerates every joint assignment of the class variables, weights each
-    configuration by its product probability, and evaluates both traces by
-    the literal matrix recurrence.  The configurations come from
-    ``_config_blocks``, a precomputed low-digit block plus one matrix per
-    value of the high digits; the weighted sums are taken over windows of
-    ``_DOT_WINDOW`` consecutive configurations and added with ``math.fsum``.
+    Weights every joint assignment of the class variables by its product
+    probability and evaluates both traces by the literal matrix recurrence,
+    once per sign orbit of configurations.  The weighted sums are taken over
+    windows of ``_DOT_WINDOW`` consecutive configurations, in index order,
+    and added with ``math.fsum``.
+
+    Sign orbits.  Let D = diag(d, eps d) with d in {+-1}^n, eps = +-1.  D X D
+    stays in the ensemble: it multiplies each class by one sign (see
+    ``_class_flips``).  Every matrix of the recurrence obeys
+    T_k(D X D) = D T_k(X) D, and all terms of entry (i, j) of each product
+    carry the same sign d_i d_j.  Round-to-nearest is odd, fl(-x) = -fl(x),
+    for fma as well, so the same BLAS kernel on the same shapes returns
+    exactly the signed result, and the traces are bitwise equal.  Likewise
+    T_k(-X) = (-1)^k T_k(X), bit for bit.  When the atom values are closed
+    under negation these maps send configurations to configurations, so the
+    traces of every configuration are +- those of a representative; the
+    weights are always the configuration's own.  Other laws get the trivial
+    group, in the same code.  The sums read the same floats as an
+    enumeration of every configuration, so the value does not change.
+
+    Pivot choice.  Elimination over GF(2) on the high digits only
+    (``_orbit_basis``) gives rows that each flip one pivot class; the
+    representatives are the high-digit values whose pivots sit on
+    nonnegative atoms.  A high-digit value maps to its representative by the
+    rows whose pivots sit on negative atoms, which fixes the sign and, from
+    the low classes that those rows flip, one permutation of the whole low
+    block.  Pivots on high digits are what make the group element a
+    function of the high digits alone; which high class is the pivot is
+    immaterial, and the first one is taken.  A zero atom on a pivot leaves
+    some orbits with several representatives, which costs time, not
+    exactness.  Each representative is evaluated on first use and dropped
+    after its last.
     """
     atoms = model.finite_support
     if atoms is None:
@@ -456,8 +437,28 @@ def cov_traces_config_oracle(
     if A**nc > budget:
         raise BudgetError(f"{A}^{nc} configurations exceed budget {budget}")
 
+    values = [v for v, _ in atoms]
+    low, high = _config_digits(A, nc)
+    L = low.shape[1]
+    # the sign maps act on configurations when the atom values are closed
+    # under negation; otherwise the group is trivial
+    symmetric = all(-v in values for v in values)
+    neg = np.array([values.index(-v) if symmetric else a for a, v in enumerate(values)])
+    flips = _class_flips(symmetry_class, n) if symmetric else np.zeros((0, nc + 1), dtype=bool)
+    pivots, basis = _orbit_basis(flips, L)
+    # group element of each high-digit value: the rows whose pivots are negative
+    on_negative = np.array(values)[high[:, np.array(pivots, dtype=int) - L]] < 0
+    g = (on_negative.astype(np.int64) @ basis.astype(np.int64) & 1).astype(bool)
+    rep = np.where(g[:, L:nc], neg[high], high) @ A ** np.arange(nc - L)
+    patterns, pattern_of = np.unique(g[:, :L], axis=0, return_inverse=True)
+    perms = [np.where(f, neg[low], low) @ A ** np.arange(L) for f in patterns]
+    signs = np.where(g[:, nc, None], [(-1.0) ** m, (-1.0) ** mu], 1.0)
+    uses = np.bincount(rep, minlength=len(high))
+
     M = max(m, mu)
+    block = _config_blocks(layout, atoms, low)
     stacks: list = []  # the recurrence's stacks, shared by every block
+    live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     tx, ty, w = (np.empty(_DOT_WINDOW) for _ in range(3))
     sx, sy, sxy = [], [], []
 
@@ -468,15 +469,25 @@ def cov_traces_config_oracle(
         sxy.append(float(np.dot(p, x * y)))
 
     fill = 0
-    for X, wb in _config_blocks(layout, atoms):
-        if not stacks:
-            stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
-        t = _recurrence_traces(X, M, sigma, stacks)
+    for h, wb in enumerate(_config_weights(atoms, low, high)):
+        r = int(rep[h])
+        if r not in live:
+            X = block(high[r])
+            if not stacks:
+                stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
+            t = _recurrence_traces(X, M, sigma, stacks)
+            live[r] = (t[:, m - 1].copy(), t[:, mu - 1].copy())
+        perm = perms[pattern_of[h]]
+        xb = signs[h, 0] * live[r][0][perm]
+        yb = signs[h, 1] * live[r][1][perm]
+        uses[r] -= 1
+        if not uses[r]:
+            del live[r]
         pos = 0
         while pos < len(wb):
             take = min(len(wb) - pos, _DOT_WINDOW - fill)
-            tx[fill : fill + take] = t[pos : pos + take, m - 1]
-            ty[fill : fill + take] = t[pos : pos + take, mu - 1]
+            tx[fill : fill + take] = xb[pos : pos + take]
+            ty[fill : fill + take] = yb[pos : pos + take]
             w[fill : fill + take] = wb[pos : pos + take]
             fill += take
             pos += take
@@ -639,18 +650,17 @@ def _add_grouped(acc: dict[int, int], codes: np.ndarray, coefs: np.ndarray) -> N
         acc[code] = acc.get(code, 0) + total
 
 
-def _histogram_value(acc: dict[int, int], place: np.ndarray, mom: list[float]) -> float:
-    """sum over codes of acc[code] * prod_v mom[v]^(count at v), exactly,
-    rounded once."""
+def _histogram_value(acc: dict[int, int], place: np.ndarray, mom: list[Fraction]) -> Fraction:
+    """sum over codes of acc[code] * prod_v mom[v]^(count at v), exactly."""
     total = Fraction(0)
     for code, coef in acc.items():
         term = Fraction(coef)
         for v in range(len(place) - 1, 0, -1):  # most significant digit first
             count, code = divmod(code, int(place[v]))
             if count:
-                term *= Fraction(mom[v]) ** count
+                term *= mom[v] ** count
         total += term
-    return float(total)
+    return total
 
 
 def _cross_histograms(
@@ -740,8 +750,8 @@ def _power_covariance(
     A product of class moments depends only on the histogram of the
     exponents (how many classes carry each exponent), so the integer
     coefficients of E[XY], E[X] and E[Y] are summed exactly per histogram,
-    and each expectation is one exact sum over a few dozen histograms,
-    rounded once.
+    each expectation is one exact sum over a few dozen histograms, and
+    E[XY] - E[X] E[Y] is rounded once, before the scaling.
     """
     if (k1 + k2) % 2 == 1:
         # one trace is an odd polynomial of an ensemble symmetric under
@@ -749,10 +759,10 @@ def _power_covariance(
         return 0.0
     P1 = _power_expansion(cache, symmetry_class, n, k1, budget)
     P2 = _power_expansion(cache, symmetry_class, n, k2, budget)
-    mom = [model.moment(v) for v in range(k1 + k2 + 1)]
+    mom = [model.exact_moment(v) for v in range(k1 + k2 + 1)]
     place = _histogram_places(k1 + k2, P1[0].shape[1])
 
-    def expect(P: tuple[np.ndarray, np.ndarray]) -> float:
+    def expect(P: tuple[np.ndarray, np.ndarray]) -> Fraction:
         acc: dict[int, int] = {}
         _add_grouped(acc, place[P[0]].sum(axis=1), P[1])
         return _histogram_value(acc, place, mom)
@@ -765,7 +775,7 @@ def _power_covariance(
     else:
         unit = 1.0
     norm = float(2 * n) ** (-(k1 + k2) // 2)
-    return unit * norm * (exy - ex * ey)
+    return unit * norm * float(exy - ex * ey)
 
 
 def cov_cheb_moment_oracle(

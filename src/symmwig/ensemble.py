@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -249,24 +250,29 @@ class EntryModel:
             return self.atoms
         return None
 
-    def moment(self, k: int) -> float:
-        """Exact E[g^k]."""
+    def exact_moment(self, k: int) -> Fraction:
+        """E[g^k] as an exact rational in the float sigma2 and atoms.
+
+        Gaussian and Rademacher laws are in closed form in sigma2:
+        (k-1)!! sigma2^(k/2) and sigma2^(k/2) for even k, 0 for odd k.  So a
+        Rademacher law has E g^4 = (E g^2)^2 exactly, at every sigma.
+        """
         if k < 0:
             raise ValueError("moment order must be nonnegative")
-        if k == 0:
-            return 1.0
+        if k % 2 == 1 and self.family != "atoms":
+            return Fraction(0)
         if self.family == "gaussian":
-            if k % 2 == 1:
-                return 0.0
-            return self.sigma2 ** (k // 2) * float(
-                math.prod(range(k - 1, 0, -2))
-            )
-        atoms = self.finite_support
-        assert atoms is not None
-        return math.fsum(p * v**k for v, p in atoms)
+            return Fraction(self.sigma2) ** (k // 2) * math.prod(range(k - 1, 0, -2))
+        if self.family == "rademacher":
+            return Fraction(self.sigma2) ** (k // 2)
+        return sum((Fraction(p) * Fraction(v) ** k for v, p in self.atoms), Fraction(0))
+
+    def moment(self, k: int) -> float:
+        """E[g^k], ``exact_moment`` rounded once."""
+        return float(self.exact_moment(k))
 
     def odd_moments_vanish(self, up_to: int) -> bool:
-        return all(self.moment(k) == 0.0 for k in range(1, up_to + 1, 2))
+        return all(self.exact_moment(k) == 0 for k in range(1, up_to + 1, 2))
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.family == "gaussian":

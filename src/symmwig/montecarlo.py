@@ -1,11 +1,12 @@
 """Parallel, reproducible sampling of trace-fluctuation vectors.
 
 A run draws N independent matrices, evaluates the vector
-(Tr T_1, ..., Tr T_M) on each, and accumulates raw power and cross sums
-in fixed blocks.  Blocks are the unit of everything: each owns an
-independent seed stream derived from the run seed and its index, workers
-may compute them in any order, and the reduction always merges them in
-index order, so the result is bit-identical at any parallelism level.
+(Tr T_1, ..., Tr T_M) on each, and accumulates power and cross sums of its
+deviation from one fixed shift in fixed blocks.  Blocks are the unit of
+everything: each owns an independent seed stream derived from the run seed
+and its index, workers may compute them in any order, and the reduction
+always merges them in index order, so the result is bit-identical at any
+parallelism level.
 The blocks double as jackknife resamples for the standard errors.
 
 Both symmetry classes are conjugation-odd (J X J^{-1} = -X), so odd-degree
@@ -122,7 +123,10 @@ class SimulationConfig:
 
 @dataclass
 class MomentAccumulator:
-    """Mergeable raw sums of an M-vector stream, through fourth order."""
+    """Mergeable sums of an M-vector stream, through fourth order, taken
+    about a fixed ``shift`` (zero by default): s1 sums t - shift, s2 its
+    square, and so on.  A shift near the mean keeps the sums small, and a
+    coordinate equal to its shift sums to exactly zero."""
 
     M: int
     count: int = 0
@@ -131,9 +135,10 @@ class MomentAccumulator:
     s3: np.ndarray = field(default=None)  # type: ignore[assignment]
     s4: np.ndarray = field(default=None)  # type: ignore[assignment]
     cross: np.ndarray = field(default=None)  # type: ignore[assignment]
+    shift: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name in ("s1", "s2", "s3", "s4"):
+        for name in ("s1", "s2", "s3", "s4", "shift"):
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros(self.M))
         if self.cross is None:
@@ -144,21 +149,24 @@ class MomentAccumulator:
         if t.ndim != 2 or t.shape[1] != self.M:
             raise ValueError("batch shape disagrees with accumulator")
         self.count += t.shape[0]
-        self.s1 += t.sum(axis=0)
-        t2 = t * t
-        self.s2 += t2.sum(axis=0)
-        self.s3 += (t2 * t).sum(axis=0)
-        self.s4 += (t2 * t2).sum(axis=0)
-        self.cross += t.T @ t
+        d = t - self.shift  # the odd and fourth powers overwrite d and d2
+        self.s1 += d.sum(axis=0)
+        self.cross += d.T @ d
+        d2 = d * d
+        self.s2 += d2.sum(axis=0)
+        self.s3 += np.multiply(d2, d, out=d).sum(axis=0)
+        self.s4 += np.multiply(d2, d2, out=d2).sum(axis=0)
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combine two accumulators; equals accumulating both streams."""
     if a.M != b.M:
         raise ValueError("accumulator shapes disagree")
+    if not np.array_equal(a.shift, b.shift):
+        raise ValueError("accumulator shifts disagree")
     return MomentAccumulator(
         a.M, a.count + b.count, a.s1 + b.s1, a.s2 + b.s2,
-        a.s3 + b.s3, a.s4 + b.s4, a.cross + b.cross,
+        a.s3 + b.s3, a.s4 + b.s4, a.cross + b.cross, a.shift,
     )
 
 
@@ -286,10 +294,16 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], -1)[:, :: cols + 1]
 
 
+def _first_trace(config: SimulationConfig, layout: BlockLayout) -> np.ndarray:
+    """The trace vector of block 0's first sample, from its own stream."""
+    draws = config.model.draw(derive_rng(config.seed, (0,)), (1, layout.n_classes))
+    return _trace_vectors(config.symmetry_class, draws, config.sigma, config.M, layout)[0]
+
+
 def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
-               layout: BlockLayout) -> MomentAccumulator:
+               layout: BlockLayout, shift: np.ndarray) -> MomentAccumulator:
     lo, hi = bounds
-    acc = MomentAccumulator(config.M)
+    acc = MomentAccumulator(config.M, shift=shift)
     rng = derive_rng(config.seed, (block,))
     # Every stack holds at most SUB_BATCH_ENTRIES entries: the matrix stacks
     # of one kernel call, and the trace vectors of one add_batch.  A block
@@ -316,6 +330,10 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     Work is split into N_BLOCKS fixed blocks regardless of parallelism;
     block b draws from the seed stream (seed, b) and the reduction merges
     blocks in index order, so thread scheduling cannot affect the output.
+    Every block accumulates about one shift, the first trace vector of
+    block 0, computed before the blocks start: merging and leaving one block
+    out stay plain sums, and a coordinate that is constant bit for bit
+    (Tr T_2 under Rademacher entries) sums to exactly zero.
     """
     t0 = time.monotonic()
     layout = block_layout(config.symmetry_class, config.n)
@@ -330,12 +348,13 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         lo = hi
 
     def work(b: int) -> MomentAccumulator:
-        return _run_block(config, b, bounds[b], layout)
+        return _run_block(config, b, bounds[b], layout, shift)
 
     # Pin the BLAS pool once for the whole run: keeps gemm reduction
     # order fixed so results cannot depend on machine-level threading.
     pin = threadpool_limits(limits=1) if threadpool_limits else nullcontext()
     with pin:
+        shift = _first_trace(config, layout)
         if config.parallelism == 1:
             blocks = [work(b) for b in range(B)]
         else:
@@ -354,16 +373,19 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
 
 def _point_estimates(acc: MomentAccumulator):
+    # central moments from the sums about the shift; d is the mean's
+    # distance from the shift
     N = acc.count
-    mean = acc.s1 / N
-    cov = (acc.cross - N * np.outer(mean, mean)) / (N - 1)
-    m2 = acc.s2 / N - mean**2
-    m3 = acc.s3 / N - 3 * mean * acc.s2 / N + 2 * mean**3
+    d = acc.s1 / N
+    mean = acc.shift + d
+    cov = (acc.cross - N * np.outer(d, d)) / (N - 1)
+    m2 = acc.s2 / N - d**2
+    m3 = acc.s3 / N - 3 * d * acc.s2 / N + 2 * d**3
     m4 = (
         acc.s4 / N
-        - 4 * mean * acc.s3 / N
-        + 6 * mean**2 * acc.s2 / N
-        - 3 * mean**4
+        - 4 * d * acc.s3 / N
+        + 6 * d**2 * acc.s2 / N
+        - 3 * d**4
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         k3 = np.where(m2 > 0, m3 / np.maximum(m2, 1e-300) ** 1.5, np.nan)
@@ -410,6 +432,7 @@ def estimate_cumulants(
                 total.s3 - blk.s3,
                 total.s4 - blk.s4,
                 total.cross - blk.cross,
+                total.shift,
             )
             _, covs[i], k3s[i], k4s[i] = _point_estimates(rest)
         fac = (B - 1) / B

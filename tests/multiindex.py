@@ -1,0 +1,132 @@
+"""The multi-index layer of the dihedral formula, as literal definitions.
+
+A multi-index is two cyclic walks of index pairs; it is good for a
+dihedral element g when its induced partition of the row slots (slots
+sharing an entry class) is the pairing pi_g.  These definitions enumerate
+one multi-index at a time.  ``symmwig.covariance._good_sign_sums``
+computes the same good sets with vectorized bookkeeping, and the tests
+check it against them.
+"""
+from __future__ import annotations
+
+import itertools
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Iterator
+
+from symmwig.covariance import PARTITION_MODES
+from symmwig.ensemble import IndexPair, SymmetryClass, class_of
+from symmwig.patterns import BudgetError, DihedralElement
+
+
+@dataclass(frozen=True)
+class MultiIndex:
+    """Two cyclically consistent rows of index pairs.
+
+    Row i is ((p_1,p_2), (p_2,p_3), ..., (p_{k_i},p_1)): the second
+    coordinate of each pair feeds the first coordinate of the next, so a
+    row is determined by its p-sequence.
+    """
+
+    k1: int
+    k2: int
+    rows: tuple[tuple[IndexPair, ...], tuple[IndexPair, ...]]
+
+    def __post_init__(self) -> None:
+        if (self.k1, self.k2) != (len(self.rows[0]), len(self.rows[1])):
+            raise ValueError("row lengths disagree with k1, k2")
+        for row in self.rows:
+            k = len(row)
+            for l in range(k):
+                if row[l][1] != row[(l + 1) % k][0]:
+                    raise ValueError(f"row {row} is not cyclically consistent")
+
+    @classmethod
+    def from_p_sequences(cls, p1: tuple[int, ...], p2: tuple[int, ...]) -> "MultiIndex":
+        row1 = tuple((p1[l], p1[(l + 1) % len(p1)]) for l in range(len(p1)))
+        row2 = tuple((p2[l], p2[(l + 1) % len(p2)]) for l in range(len(p2)))
+        return cls(len(p1), len(p2), (row1, row2))
+
+
+@dataclass(frozen=True)
+class InducedPartition:
+    """Partition of the row-slot labels (i, l) by entry equivalence."""
+
+    blocks: frozenset[frozenset[tuple[int, int]]]
+
+    def refines_into(self, other: frozenset[frozenset[tuple[int, int]]]) -> bool:
+        """Whether every block of ``other`` sits inside one block of self."""
+        where = {}
+        for b in self.blocks:
+            for lab in b:
+                where[lab] = b
+        return all(len({where[lab] for lab in blk}) == 1 for blk in other)
+
+
+def enumerate_consistent_multiindices(
+    dim: int, k1: int, k2: int, budget: int = 10**8
+) -> Iterator[MultiIndex]:
+    """All dim^k1 * dim^k2 consistent row pairs on indices 1..dim."""
+    if k1 < 1 or k2 < 1:
+        raise ValueError("row lengths must be positive")
+    count = dim ** (k1 + k2)
+    if count > budget:
+        raise BudgetError(f"{count} multi-indices exceed budget {budget}")
+    rng = range(1, dim + 1)
+    for p1 in itertools.product(rng, repeat=k1):
+        for p2 in itertools.product(rng, repeat=k2):
+            yield MultiIndex.from_p_sequences(p1, p2)
+
+
+def induced_partition(
+    P: MultiIndex, symmetry_class: SymmetryClass, n: int
+) -> InducedPartition:
+    """Group the slots (i, l) whose index pairs share an entry class.
+
+    Raises ValueError if any slot meets a forced zero entry (those
+    multi-indices contribute nothing and have no induced partition).
+    """
+    by_class: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    for i, row in enumerate(P.rows, start=1):
+        for l, pair in enumerate(row, start=1):
+            hit = class_of(symmetry_class, n, pair)
+            if hit is None:
+                raise ValueError(f"slot ({i},{l}) meets a forced zero entry {pair}")
+            by_class[hit[0]].add((i, l))
+    return InducedPartition(frozenset(frozenset(v) for v in by_class.values()))
+
+
+def good_multiindices(
+    g: DihedralElement,
+    symmetry_class: SymmetryClass,
+    n: int,
+    m: int,
+    partition_mode: str = "equality",
+    budget: int = 10**8,
+) -> list[MultiIndex]:
+    """Consistent multi-indices whose induced partition matches pi_g.
+
+    Reference enumeration (one MultiIndex at a time); ``_good_sign_sums``
+    recomputes the same set with vectorized bookkeeping.  In
+    "equality" mode the induced partition must equal pi_g exactly; in
+    "compatible" mode it may merge additional slots on top of pi_g.
+    """
+    if partition_mode not in PARTITION_MODES:
+        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
+    if g.m != m:
+        raise ValueError("group element length disagrees with m")
+    target = frozenset(
+        frozenset({(1, l), (2, g(l))}) for l in range(1, m + 1)
+    )
+    out = []
+    for P in enumerate_consistent_multiindices(2 * n, m, m, budget=budget):
+        try:
+            ind = induced_partition(P, symmetry_class, n)
+        except ValueError:
+            continue
+        if partition_mode == "equality":
+            if ind.blocks == target:
+                out.append(P)
+        elif ind.refines_into(target):
+            out.append(P)
+    return out

@@ -331,6 +331,30 @@ def test_manifest_records_environment(tmp_path, capsys):
     manifest = json.loads((tmp_path / "classes.csv.manifest.json").read_text())
     assert manifest["schema"] == "symmwig/1"
     env = manifest["environment"]
-    assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_pinned"}
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads", "blas_pinned"}
     assert isinstance(env["python"], str) and isinstance(env["numpy"], str)
     assert isinstance(env["blas_pinned"], bool)
+
+
+def test_traces_manifest_records_blas_threads(tmp_path, capsys):
+    """The thread count is read from the loaded OpenBLAS, or None where it
+    cannot be read."""
+    out = tmp_path / "traces.csv"
+    code, _, _ = run(capsys, "traces", "--class", "CI", "--n", "2", "--out", str(out))
+    assert code == 0
+    env = json.loads((tmp_path / "traces.csv.manifest.json").read_text())["environment"]
+    assert "blas_threads" in env
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+
+@pytest.mark.parametrize("cls", ("CI", "DIII"))
+def test_rademacher_m2_variance_is_exactly_zero(capsys, cls):
+    """4 Var(g^2) = 0 under Rademacher entries at any sigma, in every mode."""
+    for sigma in ("0.7", "0.9", "1.3", "2.1"):
+        for mode, n in (("exact", "5"), ("asymptotic", "5"), ("oracle", "3")):
+            code, out, _ = run(
+                capsys, "variance", "--class", cls, "--m", "2", "--mode", mode,
+                "--n", n, "--family", "rademacher", "--sigma", sigma,
+            )
+            assert code == 0
+            assert rows_of(out)[1][3] == "0", (sigma, mode)

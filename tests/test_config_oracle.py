@@ -1,17 +1,26 @@
 """The configuration oracle against per-configuration assembly.
 
-``cov_traces_config_oracle`` builds the matrices of the low digits once
-and adds one matrix per value of the high digits.  The reference here
-assembles every configuration from its own digits, runs the literal
-recurrence and takes the weighted sums over the same windows of 2^13
-configurations.
+``cov_traces_config_oracle`` builds the matrices of the low digits once,
+adds one matrix per value of the high digits, and runs the recurrence once
+per sign orbit.  The reference here assembles every configuration from its
+own digits, runs the literal recurrence on each and takes the weighted sums
+over the same windows of 2^13 configurations.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from symmwig.covariance import _config_blocks, cov_traces_config_oracle
+import symmwig.covariance as covariance
+from symmwig.chebyshev import _recurrence_traces, _stack_count
+from symmwig.covariance import (
+    _class_flips,
+    _config_blocks,
+    _config_digits,
+    _config_weights,
+    cov_traces_config_oracle,
+)
 from symmwig.ensemble import EntryModel, SymmetryClass, block_layout
 from test_chebyshev import literal_traces
 
@@ -20,7 +29,7 @@ RADEM = EntryModel.rademacher()
 THREE_ATOMS = EntryModel.from_atoms([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
 SKEWED = EntryModel.from_atoms([(-1.0, 2 / 3), (2.0, 1 / 3)])
 WINDOW = 1 << 13  # configurations per partial dot product
-CELLS = [(CI, 1), (CI, 2), (CI, 3), (DIII, 2), (DIII, 3)]
+CELLS = [(CI, 1), (CI, 2), (CI, 3), (DIII, 2), (DIII, 3), (DIII, 4)]
 DEGREES = [(m, mu) for mu in range(1, 7) for m in range(1, mu + 1)]
 
 
@@ -61,8 +70,11 @@ def test_low_high_blocks_match_assembly(cls, n, model):
     probs = np.array([p for _, p in atoms])
     layout = block_layout(cls, n)
     scale = layout.unit / math.sqrt(layout.dim)
+    low, high = _config_digits(len(atoms), layout.n_classes)
+    block = _config_blocks(layout, atoms, low)
     lo = 0
-    for X, w in _config_blocks(layout, atoms):
+    for row, w in zip(high, _config_weights(atoms, low, high)):
+        X = block(row)
         digits = digits_of(layout, len(atoms), lo, lo + len(w))
         assert np.array_equal(X, scale * layout.assemble(values[digits]))
         want = probs[digits].prod(axis=1)
@@ -93,3 +105,93 @@ def test_blocks_straddling_windows():
         assert cov_traces_config_oracle(CI, 2, m, mu, five) == reference_config_oracle(
             CI, 2, m, mu, five
         ), (m, mu)
+
+
+def test_zero_atom_values_unchanged():
+    """The three-atom law puts zeros on pivots, where an orbit has several
+    representatives."""
+    for cls, n in ((CI, 2), (DIII, 2), (DIII, 3)):
+        for m, mu in ((2, 2), (3, 5), (4, 6), (6, 6)):
+            assert cov_traces_config_oracle(cls, n, m, mu, THREE_ATOMS) == (
+                reference_config_oracle(cls, n, m, mu, THREE_ATOMS)
+            ), (cls, n, m, mu)
+
+
+@pytest.mark.parametrize("cls", (CI, DIII))
+@pytest.mark.parametrize("model", (RADEM, THREE_ATOMS), ids=("two", "three"))
+def test_sign_maps_are_bitwise_on_the_recurrence(cls, model):
+    """For sampled configurations at n = 4 and every element of the sign
+    group (X -> -X, and X -> D X D with D = diag(d, eps d)): the flipped
+    digits, per ``_class_flips``, assemble to +-D X D, and the recurrence
+    on the image stack, in reversed order, gives the traces of the sampled
+    stack times (-1)^k when X is negated, bit for bit.  A BLAS whose
+    rounding is not odd, or depends on the position in the stack, fails
+    here."""
+    n, M = 4, 7
+    atoms = model.finite_support
+    values = np.array([v for v, _ in atoms])
+    neg = np.array([list(values).index(-v) for v in values])
+    layout = block_layout(cls, n)
+    scale = layout.unit / math.sqrt(layout.dim)
+    digits = np.random.default_rng(11).integers(0, len(atoms), (64, layout.n_classes))
+    X = scale * layout.assemble(values[digits])
+    stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
+    want = _recurrence_traces(X, M, 1.0, stacks).copy()
+    flips = _class_flips(cls, n)
+    k = np.arange(1, M + 1)
+    for subset in itertools.product((False, True), repeat=len(flips)):
+        pattern = np.zeros(flips.shape[1], dtype=bool)
+        for row, on in zip(flips, subset):
+            pattern ^= on & row
+        d = np.ones(2 * n)
+        for j in range(1, n):
+            if subset[j]:
+                d[[j, n + j]] *= -1.0
+        if subset[n]:
+            d[n:] *= -1.0
+        s = -1.0 if subset[0] else 1.0
+        assert pattern[-1] == subset[0]
+        image = scale * layout.assemble(values[np.where(pattern[:-1], neg[digits], digits)])
+        assert np.array_equal(image, s * (d[:, None] * X * d[None, :]))
+        got = _recurrence_traces(image[::-1].copy(), M, 1.0, stacks)[::-1]
+        assert np.array_equal(got, want * s**k), subset
+
+
+def count_evaluations(monkeypatch):
+    evaluated = []
+
+    def counting(X, *args):
+        evaluated.append(len(X))
+        return _recurrence_traces(X, *args)
+
+    monkeypatch.setattr(covariance, "_recurrence_traces", counting)
+    return evaluated
+
+
+# values at CI n = 4 of the enumeration that runs the recurrence on every one
+# of the 2^20 configurations
+CI4_RADEMACHER = {
+    (6, 6): "0x1.2a20000000000p+4",
+    (4, 6): "-0x1.6800000000000p+3",
+    (5, 5): "0x1.ae9e90e6385b4p-104",
+    (3, 6): "0x1.bc00000000000p-111",
+}
+
+
+def test_one_evaluation_per_orbit(monkeypatch):
+    """CI n = 4 under Rademacher entries: 2^20 configurations, a group of
+    order 16 seen from the high digits, so 2^16 matrices, and the values of
+    the full enumeration."""
+    evaluated = count_evaluations(monkeypatch)
+    for (m, mu), value in CI4_RADEMACHER.items():
+        evaluated.clear()
+        assert cov_traces_config_oracle(CI, 4, m, mu, RADEM) == float.fromhex(value)
+        assert sum(evaluated) == 1 << 16
+
+
+def test_law_without_symmetry_evaluates_every_configuration(monkeypatch):
+    evaluated = count_evaluations(monkeypatch)
+    for cls, n in ((CI, 3), (DIII, 4)):
+        evaluated.clear()
+        cov_traces_config_oracle(cls, n, 4, 6, SKEWED)
+        assert sum(evaluated) == 2 ** block_layout(cls, n).n_classes

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiindex import (
+    MultiIndex,
+    enumerate_consistent_multiindices,
+    good_multiindices,
+    induced_partition,
+)
 from symmwig.covariance import (
     BudgetError,
-    MultiIndex,
     V_asymptotic,
     V_n_exact,
     _good_sign_sums,
@@ -17,9 +22,6 @@ from symmwig.covariance import (
     cov_report,
     cov_traces_config_oracle,
     cov_traces_moment_oracle,
-    enumerate_consistent_multiindices,
-    good_multiindices,
-    induced_partition,
 )
 from symmwig.ensemble import EntryModel, SymmetryClass, class_of
 from symmwig.patterns import dihedral_group

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,6 +167,22 @@ def test_entry_model_moments():
     assert atoms.moment(3) == pytest.approx(2.0)
     assert g.odd_moments_vanish(9) and r.odd_moments_vanish(9)
     assert not atoms.odd_moments_vanish(3)
+
+
+def test_exact_moments():
+    """Rational in the float sigma2 and atoms: Gaussian and Rademacher in
+    closed form, so a Rademacher law has E g^4 = (E g^2)^2 at any sigma."""
+    for sigma2 in (0.49, 0.81, 1.69, 1.0):
+        s2 = Fraction(sigma2)
+        r = EntryModel.rademacher(sigma2)
+        assert r.exact_moment(4) == r.exact_moment(2) ** 2 == s2**2
+        assert r.exact_moment(3) == 0 and r.exact_moment(0) == 1
+        g = EntryModel.gaussian(sigma2)
+        assert g.exact_moment(6) == 15 * s2**3 and g.exact_moment(5) == 0
+        assert g.moment(4) == float(3 * s2**2)
+    atoms = EntryModel.from_atoms([(-0.3, 0.25), (0.0, 0.5), (0.3, 0.25)])
+    assert atoms.exact_moment(4) == Fraction(0.3) ** 4 * 2 * Fraction(0.25)
+    assert atoms.exact_moment(3) == 0
 
 
 @pytest.mark.parametrize("cls", CLASSES)

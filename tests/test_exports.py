@@ -17,3 +17,13 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from symmwig import *", namespace)
     assert set(symmwig.__all__) <= set(namespace)
+
+
+def test_reference_definitions_stay_in_tests():
+    """The literal multi-index definitions are test references
+    (tests/multiindex.py), not package names."""
+    from symmwig import covariance
+
+    for name in ("MultiIndex", "InducedPartition", "enumerate_consistent_multiindices",
+                 "induced_partition", "good_multiindices"):
+        assert not hasattr(covariance, name) and name not in symmwig.__all__

@@ -308,6 +308,47 @@ def test_degenerate_coordinate_handling():
     assert not math.isnan(est.k3[1])
 
 
+def test_shifted_sums_keep_a_constant_coordinate_exact():
+    """A coordinate constant at a value far from 0 has covariance exactly
+    0.0 and NaN k3 and k4 when the sums are taken about one of its
+    samples; the mean is that value exactly."""
+    rng = np.random.default_rng(4)
+    shift = np.array([-31.36, 0.0])
+    blocks = []
+    for _ in range(4):
+        x = rng.normal(size=(30, 2))
+        x[:, 0] = -31.36
+        acc = MomentAccumulator(2, shift=shift)
+        acc.add_batch(x)
+        blocks.append(acc)
+    est = estimate_cumulants(blocks)
+    assert est.mean[0] == -31.36
+    assert np.all(est.cov[0, :] == 0.0) and np.all(est.cov_se[0, :] == 0.0)
+    assert math.isnan(est.k3[0]) and math.isnan(est.k4[0])
+    with pytest.raises(ValueError):
+        merge(blocks[0], MomentAccumulator(2))
+
+
+@pytest.mark.parametrize("cls", (CI, DIII))
+def test_rademacher_tr_t2_is_graded_exactly(cls):
+    """Under Rademacher entries Tr T_2 is one float in every sample, and its
+    limiting variance 4 Var(g^2) is exactly 0.  At sigma = 0.7, 0.9 and 1.3
+    the run reports Var(Tr T_2) = 0.0 with SE 0.0, exact-zero covariances
+    with every other degree and NaN k3, k4, and the var,2 row passes."""
+    for sigma in (0.7, 0.9, 1.3):
+        cfg = SimulationConfig(cls, 16, sigma=sigma, samples=2000, seed=5, family="rademacher")
+        res = run_simulation(cfg)
+        est = res.estimates
+        assert np.all(est.cov[1, :] == 0.0) and np.all(est.cov[:, 1] == 0.0)
+        assert np.all(est.cov_se[1, :] == 0.0)
+        assert math.isnan(est.k3[1]) and math.isnan(est.k4[1])
+        rep = clt_report(res, theory_vector(cls, cfg.M, sigma, cfg.model))
+        row = rep.rows[1]
+        assert (row.var_est, row.var_se, row.theory, row.z) == (0.0, 0.0, 0.0, 0.0)
+        assert row.passed
+        assert all(p.passed for p in rep.offdiag if p.m == 2)
+
+
 def test_theory_vector_shape_and_flags():
     model = EntryModel.gaussian()
     th = theory_vector(DIII, 6, 1.0, model)
