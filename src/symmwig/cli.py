@@ -530,7 +530,7 @@ _SIMULATE_OPTS = [
     _Opt("samples", _to_int, default=10_000),
     _Opt("seed", _to_int, default=0),
     _Opt("family", _choice("gaussian", "rademacher"), default="gaussian"),
-    _Opt("threads", _to_int, help="worker threads (default SYMMWIG_THREADS or 1)"),
+    _Opt("threads", _to_int, help="worker processes (default SYMMWIG_THREADS or 1)"),
 ]
 
 # name -> (handler, description, options); handlers take the resolved values

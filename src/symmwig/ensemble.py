@@ -278,7 +278,8 @@ class EntryModel:
         if self.family == "gaussian":
             return rng.normal(0.0, self.sigma, size)
         if self.family == "rademacher":
-            return self.sigma * (2.0 * rng.integers(0, 2, size) - 1.0)
+            s = self.sigma
+            return np.array([-s, s]).take(rng.integers(0, 2, size))
         values = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
         return rng.choice(values, size=size, p=probs)

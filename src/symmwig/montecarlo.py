@@ -8,6 +8,10 @@ and its index, workers may compute them in any order, and the reduction
 always merges them in index order, so the result is bit-identical at any
 parallelism level.
 The blocks double as jackknife resamples for the standard errors.
+At parallelism p > 1 the blocks run in a pool of min(p, blocks) worker
+processes forked from the caller (threads would serialise on the
+interpreter lock between the kernel's many short numpy calls); where the
+fork start method is unavailable they run in-process, with the same result.
 
 Both symmetry classes are conjugation-odd (J X J^{-1} = -X), so odd-degree
 traces vanish sample-wise and are emitted as exact zeros.  Every sample is
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -324,12 +327,43 @@ def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
     return acc
 
 
+def _fork_context():
+    """The fork start method's context, or None where the platform has
+    none.  Imported here, so that runs at one worker never load
+    multiprocessing."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+_block_args: Optional[tuple] = None  # set in pool workers only, once each
+
+
+def _init_block_worker(*args) -> None:
+    """Pool initializer: (config, bounds, layout, shift), inherited through
+    fork rather than pickled, kept for every block this worker runs."""
+    global _block_args
+    _block_args = args
+
+
+def _pool_block(b: int) -> MomentAccumulator:
+    config, bounds, layout, shift = _block_args
+    return _run_block(config, b, bounds[b], layout, shift)
+
+
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Sample N trace vectors; deterministic given (config, seed).
 
     Work is split into N_BLOCKS fixed blocks regardless of parallelism;
     block b draws from the seed stream (seed, b) and the reduction merges
-    blocks in index order, so thread scheduling cannot affect the output.
+    blocks in index order, so the output is bit-identical at any worker
+    count.  At parallelism p > 1 the blocks run in min(p, blocks) worker
+    processes forked inside the BLAS pin, so every worker inherits it; no
+    worker outlives the call.  Where fork is unavailable, they run
+    in-process.
     Every block accumulates about one shift, the first trace vector of
     block 0, computed before the blocks start: merging and leaving one block
     out stay plain sums, and a coordinate that is constant bit for bit
@@ -346,20 +380,22 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         hi = lo + base + (1 if b < extra else 0)
         bounds.append((lo, hi))
         lo = hi
-
-    def work(b: int) -> MomentAccumulator:
-        return _run_block(config, b, bounds[b], layout, shift)
+    workers = min(config.parallelism, B)
 
     # Pin the BLAS pool once for the whole run: keeps gemm reduction
     # order fixed so results cannot depend on machine-level threading.
     pin = threadpool_limits(limits=1) if threadpool_limits else nullcontext()
     with pin:
         shift = _first_trace(config, layout)
-        if config.parallelism == 1:
-            blocks = [work(b) for b in range(B)]
+        fork = _fork_context() if workers > 1 else None
+        if fork is None:
+            blocks = [_run_block(config, b, bounds[b], layout, shift) for b in range(B)]
         else:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                blocks = list(pool.map(work, range(B)))
+            # leaving the pool terminates and joins every worker, also when
+            # a block raises (map re-raises the worker's exception here)
+            with fork.Pool(workers, _init_block_worker,
+                           (config, bounds, layout, shift)) as pool:
+                blocks = pool.map(_pool_block, range(B), chunksize=1)
     estimates = estimate_cumulants(blocks)
     return SimulationResult(
         config=config,

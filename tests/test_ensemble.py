@@ -256,6 +256,17 @@ def test_signed_gather_equals_literal_scatter(cls, n):
     assert np.array_equal(layout.assemble(draws), want)
 
 
+@pytest.mark.parametrize("sigma", (1.0, 0.7, 1.3))
+def test_rademacher_draw_is_the_signed_scale(sigma):
+    """A Rademacher draw reads the stream of one integers(0, 2) call and
+    gives exactly sigma * (2k - 1), sign bits included."""
+    model = EntryModel.rademacher(sigma * sigma)
+    got = model.draw(derive_rng(5, (2,)), (64, 9))
+    want = model.sigma * (2.0 * derive_rng(5, (2,)).integers(0, 2, (64, 9)) - 1.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("model", (EntryModel.gaussian(0.49), EntryModel.rademacher(2.0)))
 @pytest.mark.parametrize("chunk", (1, 63, 200, 736))
 def test_draws_are_chunk_invariant(model, chunk):

@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +198,70 @@ def test_determinism_across_parallelism():
     assert np.array_equal(r1.estimates.cov, r1b.estimates.cov)
     other = run_simulation(SimulationConfig(**dict(base, seed=32), parallelism=1))
     assert not np.array_equal(r1.estimates.cov, other.estimates.cov)
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cls", (CI, DIII))
+@pytest.mark.parametrize("family", ("gaussian", "rademacher"))
+def test_worker_processes_are_bit_identical(cls, family, monkeypatch):
+    """Every estimate array and every per-block sum is the same bytes at 1,
+    2 and 3 worker processes, and in-process where fork is unavailable."""
+    base = SimulationConfig(cls, 5, sigma=0.7, M=7, samples=3001, seed=12, family=family)
+    ref = run_simulation(base)
+    runs = [run_simulation(replace(base, parallelism=p)) for p in (2, 3)]
+    monkeypatch.setattr(montecarlo, "_fork_context", lambda: None)
+    runs.append(run_simulation(replace(base, parallelism=3)))
+    for run in runs:
+        for name in ("mean", "cov", "cov_se", "k3", "k3_se", "k4", "k4_se"):
+            assert _same_bytes(getattr(ref.estimates, name), getattr(run.estimates, name)), name
+        assert len(run.blocks) == len(ref.blocks) == N_BLOCKS
+        for a, b in zip(ref.blocks, run.blocks):
+            assert a.count == b.count
+            for name in ("s1", "s2", "s3", "s4", "cross", "shift"):
+                assert _same_bytes(getattr(a, name), getattr(b, name)), name
+
+
+def test_worker_count_is_capped_by_blocks(monkeypatch):
+    """The pool gets min(parallelism, blocks) processes; the recording
+    factory starts none."""
+    sizes = []
+
+    class Recorded(Exception):
+        pass
+
+    class RecordingContext:
+        def Pool(self, processes, initializer, initargs):
+            sizes.append(processes)
+            raise Recorded
+
+    monkeypatch.setattr(montecarlo, "_fork_context", RecordingContext)
+    for samples, parallelism in ((3, 64), (10_000, 100_000), (500, 2)):
+        with pytest.raises(Recorded):
+            run_simulation(SimulationConfig(CI, 2, samples=samples, parallelism=parallelism))
+    assert sizes == [3, N_BLOCKS, 2]
+
+
+def test_no_worker_outlives_the_run(monkeypatch):
+    cfg = SimulationConfig(DIII, 3, samples=400, seed=8, parallelism=3)
+    run_simulation(cfg)
+    assert multiprocessing.active_children() == []
+
+    run_block = montecarlo._run_block
+
+    def failing(config, block, *args):
+        if block == 37:
+            raise RuntimeError("block 37 failed")
+        return run_block(config, block, *args)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(montecarlo, "_run_block", failing)
+    with pytest.raises(RuntimeError, match="^block 37 failed$") as raised:
+        run_simulation(cfg)
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 def test_block_split_covers_all_samples():
