@@ -228,19 +228,19 @@ def _resolve(opts: Sequence[_Opt], ns: argparse.Namespace) -> dict:
     return values
 
 
-def _entry_model(family: str, sigma: Optional[float]) -> tuple[EntryModel, float]:
-    """Build the entry distribution; sigma defaults to the family's own scale.
+def _entry_model(family: str, sigma: Optional[float]) -> EntryModel:
+    """The entry law of --family and --sigma; every subcommand takes its
+    scale, the Chebyshev scale included, from it.
 
+    Gaussian and Rademacher laws have scale --sigma, default 1.  An atom
+    law has its own scale, and a --sigma that differs from it is an error.
     Atom lists are only parsed here; EntryModel checks them.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    if family == "gaussian":
+    if family in ("gaussian", "rademacher"):
         s = 1.0 if sigma is None else sigma
-        return EntryModel.gaussian(s * s), s
-    if family == "rademacher":
-        s = 1.0 if sigma is None else sigma
-        return EntryModel.rademacher(s * s), s
+        return EntryModel(family=family, sigma2=s * s)
     atoms = []
     for item in family[len("atoms:") :].split(","):
         v, sep, p = item.partition(":")
@@ -248,8 +248,11 @@ def _entry_model(family: str, sigma: Optional[float]) -> tuple[EntryModel, float
             raise ValueError(f"bad atom {item!r} (want value:prob)")
         atoms.append((_to_float(v), _to_float(p)))
     model = EntryModel.from_atoms(atoms)
-    s = model.sigma if sigma is None else sigma
-    return model, s
+    if sigma is not None and not math.isclose(sigma, model.sigma, rel_tol=1e-9):
+        raise ValueError(
+            f"the atom law has scale {model.sigma:g}; --sigma {sigma:g} differs"
+        )
+    return model
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -354,25 +357,18 @@ def _cmd_patterns(values: dict) -> int:
 
 def _cmd_variance(values: dict) -> int:
     cls, m, mode = values["class"], values["m"], values["mode"]
-    model, sigma = _entry_model(values["family"], values["sigma"])
+    model = _entry_model(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
+    n = values["n"]
     if mode == "asymptotic":
-        value, flag = V_asymptotic(cls, m, sigma, model if m == 2 else None)
-        n = values["n"]
+        value, flag = V_asymptotic(cls, m, model)
     else:
-        n = values["n"]
         if n is None:
             raise ValueError(f"--n is required for mode {mode!r}")
         if mode == "exact":
-            # the dihedral formula reads its scale from the law alone
-            if not math.isclose(sigma, model.sigma, rel_tol=1e-9):
-                raise ValueError(
-                    f"--mode exact takes the scale of the entry law ({model.sigma:g}); "
-                    f"--sigma {sigma:g} differs"
-                )
             value = V_n_exact(cls, n, m, model, **budget)
         else:
-            value = cov_cheb_moment_oracle(cls, n, m, m, model, sigma, **budget)
+            value = cov_cheb_moment_oracle(cls, n, m, m, model, **budget)
         flag = "finite-n"
     rows = [[cls.value, n, m, value, mode, flag]]
     header = ["class", "n", "m", "value", "mode", "flag"]
@@ -382,12 +378,12 @@ def _cmd_variance(values: dict) -> int:
 
 def _cmd_oracle(values: dict) -> int:
     cls, n, m, mu = values["class"], values["n"], values["m"], values["mu"]
-    model, sigma = _entry_model(values["family"], values["sigma"])
+    model = _entry_model(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
     if values["kind"] == "config":
-        value = cov_traces_config_oracle(cls, n, m, mu, model, sigma, **budget)
+        value = cov_traces_config_oracle(cls, n, m, mu, model, **budget)
     else:
-        value = cov_cheb_moment_oracle(cls, n, m, mu, model, sigma, **budget)
+        value = cov_cheb_moment_oracle(cls, n, m, mu, model, **budget)
     rows = [[cls.value, n, m, mu, value, values["kind"]]]
     header = ["class", "n", "m", "mu", "value", "oracle"]
     _emit("oracle", values, header, rows)
@@ -395,11 +391,11 @@ def _cmd_oracle(values: dict) -> int:
 
 
 def _simulation(values: dict):
-    sigma = 1.0 if values["sigma"] is None else values["sigma"]
+    model = _entry_model(values["family"], values["sigma"])
     config = SimulationConfig(
         symmetry_class=values["class"],
         n=values["n"],
-        sigma=sigma,
+        sigma=model.sigma,
         M=values["M"],
         samples=values["samples"],
         seed=values["seed"],
@@ -407,7 +403,7 @@ def _simulation(values: dict):
         parallelism=_resolve_threads(values["threads"]),
     )
     result = run_simulation(config)
-    theory = theory_vector(config.symmetry_class, config.M, sigma, config.model)
+    theory = theory_vector(config.symmetry_class, config.M, model)
     return config, result, theory
 
 
@@ -438,11 +434,11 @@ def _report_json(subcommand: str, config, result, report) -> dict:
         "wall_time": result.wall_time,
         "mean": _clean(est.mean.tolist()),
         "cov": _clean(est.cov.tolist()),
-        "cov_se": _clean(est.cov_se.tolist()) if est.cov_se is not None else None,
+        "cov_se": _clean(est.cov_se.tolist()),
         "k3": _clean(est.k3.tolist()),
-        "k3_se": _clean(est.k3_se.tolist()) if est.k3_se is not None else None,
+        "k3_se": _clean(est.k3_se.tolist()),
         "k4": _clean(est.k4.tolist()),
-        "k4_se": _clean(est.k4_se.tolist()) if est.k4_se is not None else None,
+        "k4_se": _clean(est.k4_se.tolist()),
         "report": {
             "rows": [
                 {
@@ -512,20 +508,21 @@ def _cmd_report(values: dict) -> int:
 
 
 def _cmd_traces(values: dict) -> int:
-    model, sigma = _entry_model(values["family"], values["sigma"])
+    model = _entry_model(values["family"], values["sigma"])
     sample = sample_matrix(values["class"], values["n"], model, values["seed"])
-    traces = trace_cheb_vector(sample, values["M"], sigma)
+    traces = trace_cheb_vector(sample, values["M"], model.sigma)
     rows = [[m + 1, float(t)] for m, t in enumerate(traces)]
     _emit("traces", values, ["degree", "trace"], rows, seed=values["seed"])
     return 0
 
 
 _OUT_OPT = _Opt("out", str, help="write the table here (plus .json/.manifest.json)")
+_SIGMA_OPT = _Opt("sigma", _to_float, help="entry scale (default 1; an atoms: law has its own)")
 
 _SIMULATE_OPTS = [
     _Opt("class", _to_class, required=True),
     _Opt("n", _to_int, required=True),
-    _Opt("sigma", _to_float),
+    _SIGMA_OPT,
     _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
     _Opt("samples", _to_int, default=10_000),
     _Opt("seed", _to_int, default=0),
@@ -557,7 +554,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("m", _to_int, required=True, help="Chebyshev degree"),
         _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic"),
         _Opt("n", _to_int, help="required for exact/oracle modes"),
-        _Opt("sigma", _to_float, help="entry scale (default 1)"),
+        _SIGMA_OPT,
         _Opt("family", _to_family, default="gaussian"),
         _Opt("budget", _to_int, help="enumeration budget override"),
         _OUT_OPT,
@@ -568,7 +565,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("m", _to_int, required=True, help="first Chebyshev degree"),
         _Opt("mu", _to_int, required=True, help="second Chebyshev degree"),
         _Opt("kind", _choice(*ORACLE_KINDS), default="moment"),
-        _Opt("sigma", _to_float),
+        _SIGMA_OPT,
         _Opt("family", _to_family, default="rademacher"),
         _Opt("budget", _to_int),
         _OUT_OPT,
@@ -581,7 +578,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("class", _to_class, required=True),
         _Opt("n", _to_int, required=True),
         _Opt("seed", _to_int, default=0),
-        _Opt("sigma", _to_float),
+        _SIGMA_OPT,
         _Opt("M", _to_int, default=6),
         _Opt("family", _to_family, default="gaussian"),
         _OUT_OPT,

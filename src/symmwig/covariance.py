@@ -17,15 +17,15 @@ rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms, rounded once.
 
-One enumeration pass serves every dihedral element: row one's walks start
-at index 0 only, and the sign sums are multiplied by 2n.  The start index
-does not matter because two index maps act transitively on the 2n
-indices: relabelling 1..n in both blocks at once, and swapping the blocks
-(p <-> p +- n).  Both send equivalence classes to classes of the same
-kind, up to one sign per class.  In a good multi-index every row-one
-occurrence of a class is matched by a row-two occurrence, so each class
-occurs an even number of times and those signs cancel, in both partition
-modes.
+One enumeration pass and one row-two chase serve every dihedral element:
+row one's walks start at index 0 only, and the sign sums are multiplied by
+2n.  The start index does not matter because two index maps act
+transitively on the 2n indices: relabelling 1..n in both blocks at once,
+and swapping the blocks (p <-> p +- n).  Both send equivalence classes to
+classes of the same kind, up to one sign per class.  In a good multi-index
+every row-one occurrence of a class is matched by a row-two occurrence, so
+each class occurs an even number of times and those signs cancel, in both
+partition modes.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def _good_sign_sums(
     only, and the sums are scaled by 2n (see the module docstring).  The
     walks, their classes, the validity mask and the row-one sign products
     are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory.
-    The row-two chase runs from each of the (at most four) admissible
-    starting indices of the first slot's class, for shift(0) and refl(0)
-    only: every shift has the sum of shift(0), and every reflection that
-    of refl(0).
+    The row-two chase runs for shift(0) only, from each of the (at most
+    four) admissible starting indices of the first slot's class: every
+    shift has the sum of shift(0), and every reflection eps^m times it,
+    with eps = -1 in DIII and +1 in CI.
 
     Proof.  Let rho_r(l) = l + r (mod m).  Rotating row one's walk by r,
     p_l -> p_{l+r}, is a bijection on closed walks; it permutes the slots
@@ -117,18 +117,29 @@ def _good_sign_sums(
     shift(nu) o rho_r = shift(nu + r) and refl(nu) o rho_r = refl(nu + r),
     the full sums agree along each kind, and by the start-index reduction
     so do the sums with row one starting at 0.
+
+    Every class holds the transpose (q, p) of each member (p, q), with the
+    member's sign times eps: X_qp = conj X_pq, and the DIII entries are
+    imaginary.  Reversing row two, v_j -> v_{m-1-j}, turns its slot j into
+    the transpose of slot m - 2 - j (mod m), which has the same class.  So
+    it keeps row one, each class's slots in row two up to the reflection
+    j -> m - 2 - j, and the cyclic closure of row two: it maps
+    S^good(pi_shift(nu)) one-to-one onto S^good(pi_refl(nu + 1)) in both
+    partition modes, and it multiplies each of the m row-two signs by eps.
+    Hence every reflection sum is eps^m times the shift sum, and in DIII at
+    odd m the two kinds cancel in the total.
     """
     if partition_mode not in PARTITION_MODES:
         raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     dim = 2 * n
-    if dim**m > budget:
-        raise BudgetError(f"{dim}^{m} first-row walks exceed budget {budget}")
+    n_walks = dim ** (m - 1)
+    if n_walks > budget:
+        raise BudgetError(f"{dim}^{m - 1} row-one walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
     q_by_p, s_by_p, ok_by_p, member_p = _member_tables(symmetry_class, n)
     q_by_p, s_by_p, ok_by_p = q_by_p.ravel(), s_by_p.ravel(), ok_by_p.ravel()
     group = dihedral_group(m)
-    sums = {"shift": 0, "reflection": 0}
-    n_walks = dim ** (m - 1)
+    total = 0  # the shift(0) sum; row-two slot j carries row-one slot j's class
     for lo in range(0, n_walks, _WALK_CHUNK):
         rem = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
         cols = [np.zeros(len(rem), dtype=np.int32)]
@@ -145,30 +156,27 @@ def _good_sign_sums(
                     valid &= c[l] != c[l2]
         w = np.nonzero(valid)[0]
         cw = [arr[w] for arr in c]
-        offset = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
+        d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
         s1 = np.ones(len(w), dtype=np.int64)
         for l in range(m):
             s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
-        for g in (group[0], group[m]):  # shift(0), refl(0)
-            # slot j of row two carries the class of row-one slot g^{-1}(j)
-            ginv = [l - 1 for l in g.inverse_perm()]
-            d = [offset[l] for l in ginv]
-            # row two starts at any member of its first class; each start
-            # fixes the rest of the row, and only live walks are carried
-            starts = member_p[cw[ginv[0]]]
-            walk, k = np.nonzero(starts >= 0)
-            v0 = starts[walk, k]
-            flat = d[0][walk] + v0
-            s2 = s1[walk] * s_by_p[flat]
+        # row two starts at any member of its first class; each start
+        # fixes the rest of the row, and only live walks are carried
+        starts = member_p[cw[0]]
+        walk, k = np.nonzero(starts >= 0)
+        v0 = starts[walk, k]
+        flat = d[0][walk] + v0
+        s2 = s1[walk] * s_by_p[flat]
+        v = q_by_p[flat]
+        for j in range(1, m):
+            flat = d[j][walk] + v
+            live = ok_by_p[flat]
+            walk, v0, flat, s2 = walk[live], v0[live], flat[live], s2[live]
+            s2 = s2 * s_by_p[flat]
             v = q_by_p[flat]
-            for j in range(1, m):
-                flat = d[j][walk] + v
-                live = ok_by_p[flat]
-                walk, v0, flat, s2 = walk[live], v0[live], flat[live], s2[live]
-                s2 = s2 * s_by_p[flat]
-                v = q_by_p[flat]
-            sums[g.kind] += int(np.sum(s2[v == v0]))  # cyclic closure of row two
-    return {g: dim * sums[g.kind] for g in group}
+        total += int(np.sum(s2[v == v0]))  # cyclic closure of row two
+    reflection = _pair_moment_unit(symmetry_class) ** m * total
+    return {g: dim * (total if g.kind == "shift" else reflection) for g in group}
 
 
 # -- exact finite-size variance ------------------------------------------------
@@ -240,29 +248,23 @@ def V_n_exact(
 
 
 def V_asymptotic(
-    symmetry_class: SymmetryClass,
-    m: int,
-    sigma: float = 1.0,
-    model: Optional[EntryModel] = None,
+    symmetry_class: SymmetryClass, m: int, model: EntryModel
 ) -> tuple[float, str]:
     """Limiting variance of the degree-m Chebyshev trace, with provenance.
 
     Returns (value, flag).  flag is "theorem" for the closed-form cases
-    (0 for m=1 and odd m, 4m sigma^(2m) for even m >= 4) and "derived" for
-    m=2, whose limit is model dependent: 4 Var(g^2), validated against the
-    finite-size values and the oracles, not quoted from anywhere.
+    (0 for m=1 and odd m, 4m sigma^(2m) for even m >= 4, sigma the scale
+    of the entry law) and "derived" for m=2, whose limit is model
+    dependent: 4 Var(g^2), validated against the finite-size values and
+    the oracles, not quoted from anywhere.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m == 2:
-        if model is None:
-            raise ValueError("the m=2 limit depends on the entry model")
-        if abs(model.sigma2 - sigma**2) > 1e-12 * max(1.0, sigma**2):
-            raise ValueError("sigma disagrees with the model's second moment")
         return float(4 * _square_variance(model)), "derived"
     if m % 2 == 1:
         return 0.0, "theorem"
-    return 4.0 * m * float(sigma) ** (2 * m), "theorem"
+    return 4.0 * m * model.sigma ** (2 * m), "theorem"
 
 
 # -- configuration oracle ------------------------------------------------------
@@ -384,10 +386,10 @@ def cov_traces_config_oracle(
     m: int,
     mu: int,
     model: EntryModel,
-    sigma: Optional[float] = None,
     budget: int = 10**7,
 ) -> float:
-    """Exact Cov(Tr T_m, Tr T_mu) for finite-support entry laws.
+    """Exact Cov(Tr T_m, Tr T_mu) for finite-support entry laws, with the
+    Chebyshev polynomials at the scale of the law.
 
     Weights every joint assignment of the class variables by its product
     probability and evaluates both traces by the literal matrix recurrence,
@@ -427,10 +429,6 @@ def cov_traces_config_oracle(
         raise ValueError("configuration oracle needs a finite-support model")
     if m < 1 or mu < 1:
         raise ValueError("degrees must be >= 1")
-    if sigma is None:
-        sigma = model.sigma
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
     layout = block_layout(symmetry_class, n)
     nc = layout.n_classes
     A = len(atoms)
@@ -475,7 +473,7 @@ def cov_traces_config_oracle(
             X = block(high[r])
             if not stacks:
                 stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
-            t = _recurrence_traces(X, M, sigma, stacks)
+            t = _recurrence_traces(X, M, model.sigma, stacks)
             live[r] = (t[:, m - 1].copy(), t[:, mu - 1].copy())
         perm = perms[pattern_of[h]]
         xb = signs[h, 0] * live[r][0][perm]
@@ -784,18 +782,17 @@ def cov_cheb_moment_oracle(
     m: int,
     mu: int,
     model: EntryModel,
-    sigma: Optional[float] = None,
     cache: Optional[dict] = None,
     budget: int = 10**8,
 ) -> float:
-    """Cov(Tr T_m, Tr T_mu) assembled bilinearly from power covariances.
+    """Cov(Tr T_m, Tr T_mu) assembled bilinearly from power covariances,
+    with the Chebyshev polynomials at the scale of the entry law.
 
     ``cache`` keeps the power covariances, keyed (j, k) with j <= k, and
     the power-trace expansions, keyed ("trace", k); share one cache only
     between calls with the same class, n and entry model.
     """
-    if sigma is None:
-        sigma = model.sigma
+    sigma = model.sigma
     if cache is None:
         cache = {}
     cm = cheb_coefficients(m, sigma).coeffs
@@ -849,8 +846,9 @@ def cov_report(
 ) -> CovReport:
     """Exact value, limit, gap, and (for m >= 3) the per-element split.
 
-    For m >= 3 one enumeration pass gives every per-element sign sum, and
-    v_n is the value of their total.
+    For m >= 3 one enumeration pass and one row-two chase give every
+    per-element sign sum, and v_n is the value of their total.  The limit
+    is ``V_asymptotic`` of the same entry law.
     """
     per_g: list[PerGContribution] = []
     if m < 3:
@@ -868,7 +866,7 @@ def cov_report(
         assert (
             float(Fraction(total * unit**m, dim**m)) * model.sigma2**m == v_n
         )
-    v_inf, flag = V_asymptotic(symmetry_class, m, model.sigma, model)
+    v_inf, flag = V_asymptotic(symmetry_class, m, model)
     return CovReport(
         symmetry_class=symmetry_class,
         n=n,

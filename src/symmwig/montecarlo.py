@@ -51,7 +51,7 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,11 +178,11 @@ class CumulantEstimates:
     count: int
     mean: np.ndarray
     cov: np.ndarray
-    cov_se: Optional[np.ndarray]
+    cov_se: np.ndarray
     k3: np.ndarray
-    k3_se: Optional[np.ndarray]
+    k3_se: np.ndarray
     k4: np.ndarray
-    k4_se: Optional[np.ndarray]
+    k4_se: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -429,67 +429,55 @@ def _point_estimates(acc: MomentAccumulator):
     return mean, cov, k3, k4
 
 
-def estimate_cumulants(
-    accs: Union[MomentAccumulator, Sequence[MomentAccumulator]],
-) -> CumulantEstimates:
-    """Mean, unbiased covariance, standardized k3/k4, jackknife SEs.
+def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates:
+    """Mean, unbiased covariance, standardized k3/k4, and their
+    leave-one-block-out jackknife SEs, from the per-block accumulators.
 
-    Passing the per-block accumulators enables leave-one-block-out
-    standard errors; a single merged accumulator yields point estimates
-    with SEs reported as None.  Constant coordinates get exact-zero
-    covariance rows and not-applicable (NaN) higher cumulants.
+    Empty blocks are skipped; at least two must hold samples.  Constant
+    coordinates get exact-zero covariance rows and not-applicable (NaN)
+    higher cumulants.
     """
-    if isinstance(accs, MomentAccumulator):
-        total = accs
-        blocks: list[MomentAccumulator] = []
-    else:
-        blocks = [a for a in accs if a.count > 0]
-        if not blocks:
-            raise ValueError("no samples accumulated")
-        total = blocks[0]
-        for b in blocks[1:]:
-            total = merge(total, b)
-    if total.count < 2:
-        raise ValueError("need at least 2 samples to estimate")
+    blocks = [a for a in blocks if a.count > 0]
+    if len(blocks) < 2:
+        raise ValueError("need at least 2 blocks with samples")
+    total = blocks[0]
+    for b in blocks[1:]:
+        total = merge(total, b)
     mean, cov, k3, k4 = _point_estimates(total)
 
-    cov_se = k3_se = k4_se = None
-    if len(blocks) >= 2:
-        B = len(blocks)
-        covs = np.empty((B,) + cov.shape)
-        k3s = np.empty((B, total.M))
-        k4s = np.empty((B, total.M))
-        for i, blk in enumerate(blocks):
-            rest = MomentAccumulator(
-                total.M,
-                total.count - blk.count,
-                total.s1 - blk.s1,
-                total.s2 - blk.s2,
-                total.s3 - blk.s3,
-                total.s4 - blk.s4,
-                total.cross - blk.cross,
-                total.shift,
-            )
-            _, covs[i], k3s[i], k4s[i] = _point_estimates(rest)
-        fac = (B - 1) / B
+    B = len(blocks)
+    covs = np.empty((B,) + cov.shape)
+    k3s = np.empty((B, total.M))
+    k4s = np.empty((B, total.M))
+    for i, blk in enumerate(blocks):
+        rest = MomentAccumulator(
+            total.M,
+            total.count - blk.count,
+            total.s1 - blk.s1,
+            total.s2 - blk.s2,
+            total.s3 - blk.s3,
+            total.s4 - blk.s4,
+            total.cross - blk.cross,
+            total.shift,
+        )
+        _, covs[i], k3s[i], k4s[i] = _point_estimates(rest)
+    fac = (B - 1) / B
 
-        def jse(samples, center):
-            dev = samples - center
-            return np.sqrt(fac * np.nansum(dev * dev, axis=0))
+    def jse(samples, center):
+        dev = samples - center
+        return np.sqrt(fac * np.nansum(dev * dev, axis=0))
 
-        def nan_center(samples):
-            # column-wise mean ignoring NaN, 0 where a column is all NaN
-            # (those columns are re-masked to NaN below anyway)
-            filled = np.where(np.isnan(samples), 0.0, samples)
-            counts = np.maximum((~np.isnan(samples)).sum(axis=0), 1)
-            return filled.sum(axis=0) / counts
+    def nan_center(samples):
+        # column-wise mean ignoring NaN, 0 where a column is all NaN
+        # (those columns are re-masked to NaN below anyway)
+        filled = np.where(np.isnan(samples), 0.0, samples)
+        counts = np.maximum((~np.isnan(samples)).sum(axis=0), 1)
+        return filled.sum(axis=0) / counts
 
-        cov_se = jse(covs, covs.mean(axis=0))
-        k3_se = jse(k3s, nan_center(k3s))
-        k4_se = jse(k4s, nan_center(k4s))
-        # keep NaN marking for degenerate coordinates
-        k3_se = np.where(np.isnan(k3), np.nan, k3_se)
-        k4_se = np.where(np.isnan(k4), np.nan, k4_se)
+    cov_se = jse(covs, covs.mean(axis=0))
+    # keep NaN marking for degenerate coordinates
+    k3_se = np.where(np.isnan(k3), np.nan, jse(k3s, nan_center(k3s)))
+    k4_se = np.where(np.isnan(k4), np.nan, jse(k4s, nan_center(k4s)))
     return CumulantEstimates(
         count=total.count, mean=mean, cov=cov, cov_se=cov_se,
         k3=k3, k3_se=k3_se, k4=k4, k4_se=k4_se,
@@ -573,12 +561,12 @@ def clt_report(
     all_pass = True
     for m in range(1, M + 1):
         var = float(est.cov[m - 1, m - 1])
-        se = float(est.cov_se[m - 1, m - 1]) if est.cov_se is not None else math.nan
+        se = float(est.cov_se[m - 1, m - 1])
         tval, flag = theory[m - 1]
         k3 = float(est.k3[m - 1])
-        k3se = float(est.k3_se[m - 1]) if est.k3_se is not None else math.nan
+        k3se = float(est.k3_se[m - 1])
         k4 = float(est.k4[m - 1])
-        k4se = float(est.k4_se[m - 1]) if est.k4_se is not None else math.nan
+        k4se = float(est.k4_se[m - 1])
         if m == 1:
             ok = var == 0.0
             z = _zscore(var, 0.0, 0.0)
@@ -589,7 +577,7 @@ def clt_report(
             note = f"absolute ceiling {odd_ceiling}"
         else:
             z = _zscore(var, tval, se)
-            band = rel_window * abs(tval) + z_max * (0.0 if math.isnan(se) else se)
+            band = rel_window * abs(tval) + z_max * se
             ok = abs(var - tval) <= band
             note = "derived target" if flag == "derived" else "theorem target"
         rows.append(CLTRow(m, var, se, tval, flag, z, k3, k3se, k4, k4se, ok, note))
@@ -598,13 +586,9 @@ def clt_report(
     for m in range(1, M + 1):
         for mu in range(m + 1, M + 1):
             c = float(est.cov[m - 1, mu - 1])
-            se = (
-                float(est.cov_se[m - 1, mu - 1])
-                if est.cov_se is not None
-                else math.nan
-            )
+            se = float(est.cov_se[m - 1, mu - 1])
             scale = math.sqrt(abs(theory[m - 1][0] * theory[mu - 1][0]))
-            band = rel_window * scale + z_max * (0.0 if math.isnan(se) else se)
+            band = rel_window * scale + z_max * se
             ok = abs(c) <= band
             offdiag.append(CLTPair(m, mu, c, se, _zscore(c, 0.0, se), ok))
             all_pass &= ok
@@ -620,10 +604,7 @@ def clt_report(
 
 
 def theory_vector(
-    symmetry_class: SymmetryClass, M: int, sigma: float, model: EntryModel
+    symmetry_class: SymmetryClass, M: int, model: EntryModel
 ) -> list[tuple[float, str]]:
     """(value, flag) per degree 1..M, from the asymptotic formulas."""
-    return [
-        V_asymptotic(symmetry_class, m, sigma, model if m == 2 else None)
-        for m in range(1, M + 1)
-    ]
+    return [V_asymptotic(symmetry_class, m, model) for m in range(1, M + 1)]

@@ -229,7 +229,7 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
     per_g_bad = [
         (cls.value, m) for cls in desk for m in range(3, 7)
         if sum(per_g_leading_term(cls, g) for g in dihedral_group(m)) / 2**m
-        != V_asymptotic(cls, m)[0]
+        != V_asymptotic(cls, m, GAUSS)[0]
     ]
     lines.append("sum_g per_g_leading_term / 2^m = V_asymptotic for m = 3..6, "
                  "both classes" + (f"; FAILS at {per_g_bad}" if per_g_bad else ""))
@@ -255,7 +255,7 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
     lines.append("Var(T3) = Var(T5) = 0 exactly in both classes" if odd_ok
                  else "odd-degree variance not exactly 0")
 
-    band = {cls: clt_report(res, theory_vector(cls, 6, 1.0, GAUSS)).rows[5]
+    band = {cls: clt_report(res, theory_vector(cls, 6, GAUSS)).rows[5]
             for cls, res in ((CI, desk_ci), (DIII, desk_diii))}
     band_ok = all(row.passed for row in band.values())
     lines.append(

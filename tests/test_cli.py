@@ -267,8 +267,7 @@ def test_bad_atoms_rejected(capsys):
 )
 @pytest.mark.parametrize("sigma", ("nan", "inf", "-1"))
 def test_bad_sigma_rejected_with_atoms(capsys, argv, sigma):
-    """An atoms family takes its scale from --sigma, which EntryModel does
-    not see, so the CLI checks it."""
+    """--sigma is checked before the family is read, atom laws included."""
     code, out, err = run(capsys, *argv, "--family", "atoms:-1:0.5,1:0.5", "--sigma", sigma)
     assert code == 1
     assert out == ""
@@ -303,6 +302,24 @@ def test_bad_sigma_rejected_on_every_subcommand(capsys, argv, sigma):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: sigma must be positive and finite"]
+
+
+ATOM_COMMANDS = SIGMA_COMMANDS[:6]  # simulate and report take no atom law
+ATOM_LAW = ("--family", "atoms:-1:0.5,1:0.5")  # scale 1
+
+
+@pytest.mark.parametrize("argv", ATOM_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+def test_atom_law_has_one_scale_on_every_subcommand(capsys, argv):
+    """An atom law carries its own scale: a --sigma off it is the same
+    error on every subcommand, mode and oracle kind, and a --sigma on it
+    changes nothing."""
+    code, out, err = run(capsys, *argv, *ATOM_LAW, "--sigma", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--sigma 2 differs" in err
+    default = run(capsys, *argv, *ATOM_LAW)
+    assert default[0] == 0
+    assert run(capsys, *argv, *ATOM_LAW, "--sigma", "1") == default
 
 
 def test_exact_variance_rejects_sigma_off_the_atom_scale(capsys):

@@ -170,12 +170,12 @@ def test_row_one_rotation_maps_good_sets(cls):
     """Rotating row one by one slot maps S^good(pi_g) onto
     S^good(pi_{g o rho_1}), rho_1(l) = l + 1, in both modes, and
     shift(nu) o rho_1 = shift(nu + 1), refl(nu) o rho_1 = refl(nu + 1).
-    So all shift sums agree and all reflection sums agree, which is what
-    lets _good_sign_sums chase shift(0) and refl(0) only.
+    So all shift sums agree and all reflection sums agree.
 
     Reversing row two maps S^good(pi_shift(nu)) onto S^good(pi_refl(nu+1))
-    as well, so on these ensembles the shift and reflection sums coincide
-    too, and no value test can tell which of the two a chase served."""
+    as well, and multiplies the row-two sign product by eps^m (eps = -1 in
+    DIII, +1 in CI), which is what lets _good_sign_sums chase shift(0)
+    only."""
     nonempty = 0
     for n, m in ((2, 3), (3, 3), (2, 4)):
         sums, members = _reference_sign_sums(cls, n, m)
@@ -191,9 +191,11 @@ def test_row_one_rotation_maps_good_sets(cls):
                 if g.kind == "shift":
                     refl = group[m + (g.nu + 1) % m]
                     assert {(p1, p2[::-1]) for p1, p2 in good} == members[refl, mode]
+        eps = -1 if cls is DIII else 1
         for mode in ("equality", "compatible"):
             for kind in ("shift", "reflection"):
                 assert len({sums[g, mode] for g in group if g.kind == kind}) == 1
+            assert sums[group[m], mode] == eps**m * sums[group[0], mode]
     assert nonempty
 
 
@@ -268,22 +270,29 @@ def test_ci_v4_gap_shrinks_monotonically():
 
 
 def test_v_asymptotic_cases():
-    assert V_asymptotic(DIII, 1) == (0.0, "theorem")
-    assert V_asymptotic(CI, 5) == (0.0, "theorem")
-    assert V_asymptotic(DIII, 4) == (16.0, "theorem")
-    value, flag = V_asymptotic(CI, 6, sigma=0.5)
-    assert flag == "theorem" and value == pytest.approx(24 * 0.5**12, rel=1e-15)
-    assert V_asymptotic(DIII, 2, 1.0, GAUSS) == (8.0, "derived")
-    assert V_asymptotic(CI, 2, 1.0, RADEM) == (0.0, "derived")
-    with pytest.raises(ValueError):
-        V_asymptotic(DIII, 2)  # model required
-    with pytest.raises(ValueError):
-        V_asymptotic(DIII, 2, 2.0, GAUSS)  # sigma disagrees with model
+    assert V_asymptotic(DIII, 1, GAUSS) == (0.0, "theorem")
+    assert V_asymptotic(CI, 5, GAUSS) == (0.0, "theorem")
+    assert V_asymptotic(DIII, 4, GAUSS) == (16.0, "theorem")
+    assert V_asymptotic(CI, 6, EntryModel.gaussian(0.25)) == (24 * 0.5**12, "theorem")
+    assert V_asymptotic(DIII, 2, GAUSS) == (8.0, "derived")
+    assert V_asymptotic(CI, 2, RADEM) == (0.0, "derived")
+    # the scale is the law's: an atom law of scale 1 has the limit 4m
+    assert V_asymptotic(CI, 4, EntryModel.from_atoms([(-1.0, 0.5), (1.0, 0.5)])) == (
+        16.0, "theorem"
+    )
 
 
 def test_v_n_budget():
     with pytest.raises(BudgetError):
         V_n_exact(DIII, 6, 4, GAUSS, budget=10)
+
+
+def test_v_n_budget_counts_row_one_walks():
+    """One pass enumerates (2n)^(m-1) row-one walks, and the budget
+    counts exactly those."""
+    assert V_n_exact(DIII, 3, 4, GAUSS, budget=6**3) == V_n_exact(DIII, 3, 4, GAUSS)
+    with pytest.raises(BudgetError, match=r"6\^3 row-one walks exceed budget 215"):
+        V_n_exact(DIII, 3, 4, GAUSS, budget=6**3 - 1)
 
 
 def test_partition_mode_validated():

@@ -351,13 +351,19 @@ def test_cumulants_on_exponential_stream():
         assert abs(est.k3[j] - 2.0) <= 3 * est.k3_se[j]  # exponential skewness
 
 
-def test_single_accumulator_has_no_se():
-    a = MomentAccumulator(2)
+def test_fewer_than_two_blocks_with_samples_is_an_error():
+    """Standard errors need two blocks: one block, or two of which one is
+    empty, raise the same error; an empty block beside two full ones is
+    skipped."""
+    a, b = MomentAccumulator(2), MomentAccumulator(2)
     a.add_batch(np.random.default_rng(1).normal(size=(40, 2)))
-    est = estimate_cumulants(a)
-    assert est.cov_se is None and est.k3_se is None and est.k4_se is None
-    with pytest.raises(ValueError):
-        estimate_cumulants(MomentAccumulator(2))
+    b.add_batch(np.random.default_rng(2).normal(size=(40, 2)))
+    for blocks in ([], [a], [a, MomentAccumulator(2)], [MomentAccumulator(2)] * 2):
+        with pytest.raises(ValueError, match="need at least 2 blocks with samples"):
+            estimate_cumulants(blocks)
+    est = estimate_cumulants([a, MomentAccumulator(2), b])
+    assert est.count == 80
+    assert np.array_equal(est.cov_se, estimate_cumulants([a, b]).cov_se)
 
 
 def test_degenerate_coordinate_handling():
@@ -408,7 +414,7 @@ def test_rademacher_tr_t2_is_graded_exactly(cls):
         assert np.all(est.cov[1, :] == 0.0) and np.all(est.cov[:, 1] == 0.0)
         assert np.all(est.cov_se[1, :] == 0.0)
         assert math.isnan(est.k3[1]) and math.isnan(est.k4[1])
-        rep = clt_report(res, theory_vector(cls, cfg.M, sigma, cfg.model))
+        rep = clt_report(res, theory_vector(cls, cfg.M, cfg.model))
         row = rep.rows[1]
         assert (row.var_est, row.var_se, row.theory, row.z) == (0.0, 0.0, 0.0, 0.0)
         assert row.passed
@@ -417,7 +423,7 @@ def test_rademacher_tr_t2_is_graded_exactly(cls):
 
 def test_theory_vector_shape_and_flags():
     model = EntryModel.gaussian()
-    th = theory_vector(DIII, 6, 1.0, model)
+    th = theory_vector(DIII, 6, model)
     assert [flag for _, flag in th] == [
         "theorem", "derived", "theorem", "theorem", "theorem", "theorem"
     ]
@@ -427,7 +433,7 @@ def test_theory_vector_shape_and_flags():
 def test_clt_report_grading():
     cfg = SimulationConfig(CI, 16, samples=2000, seed=7)
     res = run_simulation(cfg)
-    th = theory_vector(CI, cfg.M, 1.0, cfg.model)
+    th = theory_vector(CI, cfg.M, cfg.model)
     rep = clt_report(res, th)
     assert len(rep.rows) == cfg.M
     assert rep.rows[0].passed and rep.rows[0].var_est == 0.0
@@ -481,7 +487,7 @@ def _result(traces) -> SimulationResult:
 def test_clt_report_passes_finite_n_offdiagonals(diii_64_traces):
     """A correct run passes although its off-diagonals are resolved away
     from 0: they are graded with the finite-size allowance, not |z| alone."""
-    rep = clt_report(_result(diii_64_traces), theory_vector(DIII, 6, 1.0, DIII_64.model))
+    rep = clt_report(_result(diii_64_traces), theory_vector(DIII, 6, DIII_64.model))
     assert rep.max_offdiag_z > rep.z_max
     assert rep.passed and all(p.passed for p in rep.offdiag)
 
@@ -492,7 +498,7 @@ def test_clt_report_offdiagonal_band_has_teeth(diii_64_traces):
     mixed = [t.copy() for t in diii_64_traces]
     for t in mixed:
         t[:, 5] += 0.5 * t[:, 3]
-    rep = clt_report(_result(mixed), theory_vector(DIII, 6, 1.0, DIII_64.model))
+    rep = clt_report(_result(mixed), theory_vector(DIII, 6, DIII_64.model))
     assert all(r.passed for r in rep.rows)
     assert [(p.m, p.mu) for p in rep.offdiag if not p.passed] == [(4, 6)]
     assert not rep.passed
@@ -501,7 +507,7 @@ def test_clt_report_offdiagonal_band_has_teeth(diii_64_traces):
 def test_report_counts_odd_ceiling_violations():
     cfg = SimulationConfig(CI, 12, samples=500, seed=19, M=4)
     res = run_simulation(cfg)
-    th = theory_vector(CI, 4, 1.0, cfg.model)
+    th = theory_vector(CI, 4, cfg.model)
     tight = clt_report(res, th, odd_ceiling=0.0)
     # degree 3 variance is exactly zero here, so even a zero ceiling passes
     assert tight.rows[2].passed
