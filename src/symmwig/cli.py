@@ -236,7 +236,8 @@ def _entry_model(family: str, sigma: Optional[float]) -> EntryModel:
     law has its own scale, and a --sigma that differs from it is an error.
     Atom lists are only parsed here; EntryModel checks them.
     """
-    if sigma is not None and not 0 < sigma < math.inf:
+    # the law keeps sigma^2, so its square must be a positive normal float
+    if sigma is not None and not (sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf):
         raise ValueError("sigma must be positive and finite")
     if family in ("gaussian", "rademacher"):
         s = 1.0 if sigma is None else sigma

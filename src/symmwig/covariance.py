@@ -17,12 +17,13 @@ rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms, rounded once.
 
-One enumeration pass and one row-two chase serve every dihedral element:
-row one's walks start at index 0 only, and the sign sums are multiplied by
-2n.  The start index does not matter because two index maps act
-transitively on the 2n indices: relabelling 1..n in both blocks at once,
-and swapping the blocks (p <-> p +- n).  Both send equivalence classes to
-classes of the same kind, up to one sign per class.  In a good multi-index
+The dihedral formula is one integer per cell: every shift has the sign
+sum S of shift(0) and every reflection eps^m S (eps = -1 in DIII, +1 in
+CI), and one enumeration pass with row one starting at index 0 gives S/2n.
+The start index does not matter because two index maps act transitively
+on the 2n indices: relabelling 1..n in both blocks at once, and swapping
+the blocks (p <-> p +- n).  Both send equivalence classes to classes of
+the same kind, up to one sign per class.  In a good multi-index
 every row-one occurrence of a class is matched by a row-two occurrence, so
 each class occurs an even number of times and those signs cancel, in both
 partition modes.
@@ -43,11 +44,9 @@ from .ensemble import (
     EntryModel,
     SymmetryClass,
     block_layout,
-    build_equivalence_classes,
-    class_of,
     class_tables,
 )
-from .patterns import BudgetError, DihedralElement, dihedral_group
+from .patterns import BudgetError, dihedral_group
 
 __all__ = [
     "BudgetError",
@@ -69,43 +68,41 @@ PARTITION_MODES = ("equality", "compatible")
 _WALK_CHUNK = 1 << 13  # row-one walks per block; bounds the pass's memory
 
 
-def _member_tables(symmetry_class: SymmetryClass, n: int):
-    """Per-class lookup keyed by first index: a class has at most one
-    member in each row of the matrix, so (class, p) determines (q, sign)."""
-    classes = build_equivalence_classes(symmetry_class, n)
-    dim = 2 * n
-    C = len(classes)
-    q_by_p = np.zeros((C, dim), dtype=np.int32)
-    s_by_p = np.zeros((C, dim), dtype=np.int8)
-    ok_by_p = np.zeros((C, dim), dtype=bool)
-    member_p = np.full((C, 4), -1, dtype=np.int32)
-    for c in classes:
-        for k, ((p, q), s) in enumerate(zip(c.members, c.signs)):
-            q_by_p[c.index, p - 1] = q - 1
-            s_by_p[c.index, p - 1] = s
-            ok_by_p[c.index, p - 1] = True
-            member_p[c.index, k] = p - 1
-    return q_by_p, s_by_p, ok_by_p, member_p
+def _member_tables(cls_id: np.ndarray, sign: np.ndarray):
+    """(q, sign) per (class, p), q = -1 off the class, from ``class_tables``
+    (a class has at most one member in each row of the matrix), and each
+    class's rows p, padded with -1 to four."""
+    p, q = np.nonzero(cls_id >= 0)
+    c = cls_id[p, q]
+    shape = (int(cls_id.max()) + 1, len(cls_id))
+    q_by_p = np.full(shape, -1, dtype=np.int32)
+    s_by_p = np.zeros(shape, dtype=np.int8)
+    q_by_p[c, p] = q
+    s_by_p[c, p] = sign[p, q]
+    cc, pp = np.nonzero(q_by_p >= 0)  # by class, then row
+    member_p = np.full((shape[0], 4), -1, dtype=np.int32)
+    member_p[cc, np.arange(len(cc)) - np.searchsorted(cc, cc)] = pp
+    return q_by_p, s_by_p, member_p
 
 
 def _good_sign_sums(
     symmetry_class: SymmetryClass,
     n: int,
     m: int,
-    partition_mode: str = "equality",
-    budget: int = 10**8,
-) -> dict[DihedralElement, int]:
-    """Integer sum over S^good(pi_g) of the product of all member signs,
-    for every dihedral element g at once.
+    partition_mode: str,
+    budget: int,
+) -> int:
+    """Integer sum over S^good(pi_shift(0)) of the product of all member
+    signs.  Every shift has this sum and every reflection eps^m times it,
+    with eps = -1 in DIII and +1 in CI, so this one integer is the whole
+    dihedral cell.  The caller checks ``partition_mode``.
 
     Row one's index walks are enumerated in bulk from the start index 0
-    only, and the sums are scaled by 2n (see the module docstring).  The
+    only, and the sum is scaled by 2n (see the module docstring).  The
     walks, their classes, the validity mask and the row-one sign products
     are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory.
-    The row-two chase runs for shift(0) only, from each of the (at most
-    four) admissible starting indices of the first slot's class: every
-    shift has the sum of shift(0), and every reflection eps^m times it,
-    with eps = -1 in DIII and +1 in CI.
+    The row-two chase starts from each of the (at most four) admissible
+    starting indices of the first slot's class.
 
     Proof.  Let rho_r(l) = l + r (mod m).  Rotating row one's walk by r,
     p_l -> p_{l+r}, is a bijection on closed walks; it permutes the slots
@@ -129,17 +126,14 @@ def _good_sign_sums(
     Hence every reflection sum is eps^m times the shift sum, and in DIII at
     odd m the two kinds cancel in the total.
     """
-    if partition_mode not in PARTITION_MODES:
-        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     dim = 2 * n
     n_walks = dim ** (m - 1)
     if n_walks > budget:
         raise BudgetError(f"{dim}^{m - 1} row-one walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
-    q_by_p, s_by_p, ok_by_p, member_p = _member_tables(symmetry_class, n)
-    q_by_p, s_by_p, ok_by_p = q_by_p.ravel(), s_by_p.ravel(), ok_by_p.ravel()
-    group = dihedral_group(m)
-    total = 0  # the shift(0) sum; row-two slot j carries row-one slot j's class
+    q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
+    q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
+    total = 0  # row-two slot j carries row-one slot j's class
     for lo in range(0, n_walks, _WALK_CHUNK):
         rem = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
         cols = [np.zeros(len(rem), dtype=np.int32)]
@@ -170,13 +164,11 @@ def _good_sign_sums(
         v = q_by_p[flat]
         for j in range(1, m):
             flat = d[j][walk] + v
-            live = ok_by_p[flat]
-            walk, v0, flat, s2 = walk[live], v0[live], flat[live], s2[live]
-            s2 = s2 * s_by_p[flat]
             v = q_by_p[flat]
+            live = v >= 0
+            walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
         total += int(np.sum(s2[v == v0]))  # cyclic closure of row two
-    reflection = _pair_moment_unit(symmetry_class) ** m * total
-    return {g: dim * (total if g.kind == "shift" else reflection) for g in group}
+    return dim * total
 
 
 # -- exact finite-size variance ------------------------------------------------
@@ -200,6 +192,16 @@ def _dihedral_value(
     return float(Fraction(sign_sum * unit**m, (2 * n) ** m)) * model.sigma2**m
 
 
+def _dihedral_variance(
+    symmetry_class: SymmetryClass, n: int, m: int, model: EntryModel, shift_sum: int
+) -> tuple[float, dict[str, int]]:
+    """V_n at m >= 3 from the shift sum S of ``_good_sign_sums``, and the
+    sign sum of each kind: S for the m shifts, eps^m S for the m reflections."""
+    eps_m = _pair_moment_unit(symmetry_class) ** m  # eps is the pair-moment unit
+    sums = {"shift": shift_sum, "reflection": eps_m * shift_sum}
+    return _dihedral_value(symmetry_class, n, m, model, m * (1 + eps_m) * shift_sum), sums
+
+
 def V_n_exact(
     symmetry_class: SymmetryClass,
     n: int,
@@ -211,40 +213,35 @@ def V_n_exact(
     """Finite-size variance coefficient of the degree-m Chebyshev trace.
 
     m=1 sums diagonal second moments directly, m=2 sums fourth-moment
-    covariances over equivalent off-diagonal pairs, and m>=3 evaluates the
-    dihedral good-set formula with integer sign arithmetic, rounding to
-    float once at the end.  For m >= 3 this is the leading-order formula
-    evaluated at n, not the finite-n variance that the oracles compute;
-    the two differ by O(1/n).  One pass with row one starting at index 0
-    gives the sign sums of all 2m elements: every start index contributes
-    the same, by the relabelling and block-swap symmetry described in the
-    module docstring.
+    covariances over equivalent off-diagonal pairs, both from the counts
+    and signs of ``class_tables``, and m>=3 evaluates the dihedral
+    good-set formula with integer sign arithmetic, rounding to float once
+    at the end.  For m >= 3 this is the leading-order formula evaluated at
+    n, not the finite-n variance that the oracles compute; the two differ
+    by O(1/n).  The whole dihedral formula is one integer S, the shift(0)
+    sign sum of one pass with row one starting at index 0: the 2m
+    elements contribute m (1 + eps^m) S (see ``_good_sign_sums``).
     """
     if partition_mode not in PARTITION_MODES:
         raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     if m < 1:
         raise ValueError("m must be positive")
+    if m >= 3:
+        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+        return _dihedral_variance(symmetry_class, n, m, model, shift_sum)[0]
     dim = 2 * n
+    cls_id, sign = class_tables(symmetry_class, n)
     if m == 1:
-        unit = _pair_moment_unit(symmetry_class)
-        acc = 0
-        for p in range(1, dim + 1):
-            hp = class_of(symmetry_class, n, (p, p))
-            if hp is None:
-                continue
-            for q in range(1, dim + 1):
-                hq = class_of(symmetry_class, n, (q, q))
-                if hq is not None and hq[0] == hp[0]:
-                    acc += hp[1] * hq[1] * unit
+        # E a_pp a_qq is (sign product) * unit * sigma2 when both diagonal
+        # entries lie in one class, else 0: a square of per-class sign sums
+        diag = np.diagonal(cls_id)
+        live = diag >= 0
+        per_class = np.bincount(diag[live], weights=np.diagonal(sign)[live])
+        acc = _pair_moment_unit(symmetry_class) * int(per_class @ per_class)
         return float(acc) * model.sigma2 / dim
-    if m == 2:
-        ksum = sum(
-            sum(1 for (p, q) in c.members if p != q) ** 2
-            for c in build_equivalence_classes(symmetry_class, n)
-        )
-        return float(Fraction(ksum, dim**2) * _square_variance(model))
-    sums = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
-    return _dihedral_value(symmetry_class, n, m, model, sum(sums.values()))
+    off = cls_id[~np.eye(dim, dtype=bool)]
+    ksum = int(np.sum(np.bincount(off[off >= 0]) ** 2))
+    return float(Fraction(ksum, dim**2) * _square_variance(model))
 
 
 def V_asymptotic(
@@ -519,11 +516,13 @@ def _power_trace_monomials(
     enumerated, one value of p_0 at a time.  If that index occurs j times
     in the walk, j/k of the walk's rotation orbit starts there, so the walk
     stands for k/j walks; it is counted with weight L/j, L = lcm(1..k),
-    and each sum is multiplied by k/L at the end, exactly.
+    and each sum is multiplied by k/L at the end, exactly.  The budget
+    counts the walks enumerated: sum over j = 1..2n of j^(k-1).
     """
     dim = 2 * n
-    if dim**k > budget:
-        raise BudgetError(f"{dim}^{k} walks exceed budget {budget}")
+    n_walks = sum(j ** (k - 1) for j in range(1, dim + 1))
+    if n_walks > budget:
+        raise BudgetError(f"{n_walks} least-index walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
     n_classes = int(cls_id.max()) + 1
     if n_classes**k >= 2**63:
@@ -846,25 +845,23 @@ def cov_report(
 ) -> CovReport:
     """Exact value, limit, gap, and (for m >= 3) the per-element split.
 
-    For m >= 3 one enumeration pass and one row-two chase give every
-    per-element sign sum, and v_n is the value of their total.  The limit
-    is ``V_asymptotic`` of the same entry law.
+    For m >= 3 one enumeration pass gives the shift sum S; the 2m rows
+    carry S for every shift and eps^m S for every reflection, and v_n is
+    the value of their total, as in ``V_n_exact``.  The limit is
+    ``V_asymptotic`` of the same entry law.
     """
-    per_g: list[PerGContribution] = []
+    per_g: tuple[PerGContribution, ...] = ()
     if m < 3:
         v_n = V_n_exact(symmetry_class, n, m, model, partition_mode, budget)
     else:
-        sums = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
-        v_n = _dihedral_value(symmetry_class, n, m, model, sum(sums.values()))
-        dim = 2 * n
-        unit = _pair_moment_unit(symmetry_class)
-        for g, ssum in sums.items():
-            val = _dihedral_value(symmetry_class, n, m, model, ssum)
-            per_g.append(PerGContribution(str(g), g.kind, g.nu, ssum, val))
-        # integer-level consistency with the reported total
-        total = sum(t.sign_sum for t in per_g)
-        assert (
-            float(Fraction(total * unit**m, dim**m)) * model.sigma2**m == v_n
+        if partition_mode not in PARTITION_MODES:
+            raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
+        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+        v_n, sums = _dihedral_variance(symmetry_class, n, m, model, shift_sum)
+        value = {k: _dihedral_value(symmetry_class, n, m, model, s) for k, s in sums.items()}
+        per_g = tuple(
+            PerGContribution(str(g), g.kind, g.nu, sums[g.kind], value[g.kind])
+            for g in dihedral_group(m)
         )
     v_inf, flag = V_asymptotic(symmetry_class, m, model)
     return CovReport(
@@ -875,5 +872,5 @@ def cov_report(
         v_asymptotic=v_inf,
         flag=flag,
         gap=abs(v_n - v_inf),
-        per_g=tuple(per_g),
+        per_g=per_g,
     )

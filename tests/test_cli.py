@@ -294,10 +294,11 @@ def test_sigma_commands_cover_every_subcommand_with_sigma():
 
 
 @pytest.mark.parametrize("argv", SIGMA_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
-@pytest.mark.parametrize("sigma", ("nan", "inf", "-1"))
+@pytest.mark.parametrize("sigma", ("nan", "inf", "-1", "1e200", "1e-170", "1e-160"))
 def test_bad_sigma_rejected_on_every_subcommand(capsys, argv, sigma):
     """The default family of each subcommand, every mode and oracle kind:
-    exit 1, nothing on stdout, one error line."""
+    exit 1, nothing on stdout, one error line.  A sigma whose square
+    overflows, underflows to zero or is subnormal is rejected too."""
     code, out, err = run(capsys, *argv, "--sigma", sigma)
     assert code == 1
     assert out == ""

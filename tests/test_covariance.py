@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +19,19 @@ from symmwig.covariance import (
     V_asymptotic,
     V_n_exact,
     _good_sign_sums,
+    _member_tables,
     cov_cheb_moment_oracle,
     cov_report,
     cov_traces_config_oracle,
     cov_traces_moment_oracle,
 )
-from symmwig.ensemble import EntryModel, SymmetryClass, class_of
+from symmwig.ensemble import (
+    EntryModel,
+    SymmetryClass,
+    build_equivalence_classes,
+    class_of,
+    class_tables,
+)
 from symmwig.patterns import dihedral_group
 
 DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
@@ -160,9 +168,12 @@ def test_chase_agrees_with_reference_enumeration(cls):
             members[refl, "compatible"]
         )
         for mode in ("equality", "compatible"):
-            got = _good_sign_sums(cls, n, m, mode)
-            assert list(got) == group
-            assert got == {g: want[g, mode] for g in group}
+            assert _good_sign_sums(cls, n, m, mode, 10**8) == want[group[0], mode]
+            per_g = cov_report(cls, n, m, GAUSS, mode).per_g
+            assert [t.label for t in per_g] == [str(g) for g in group]
+            assert {g: t.sign_sum for g, t in zip(group, per_g)} == {
+                g: want[g, mode] for g in group
+            }
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
@@ -223,8 +234,28 @@ def test_row_one_rotation_maps_good_sets(cls):
 def test_good_sign_sums_frozen(cls, mode, n, m, want):
     """Sign sums on cells beyond the reference enumeration's reach, frozen
     from a chase that ran every one of the 2m elements separately; every
-    element of each cell had the same sum there."""
-    assert _good_sign_sums(cls, n, m, mode) == dict.fromkeys(dihedral_group(m), want)
+    element of each cell had the same sum there (m is even, so eps^m = 1)."""
+    assert _good_sign_sums(cls, n, m, mode, 10**8) == want
+    assert [t.sign_sum for t in cov_report(cls, n, m, GAUSS, mode).per_g] == [want] * (2 * m)
+
+
+@pytest.mark.parametrize(
+    "cls,n", [(cls, n) for cls in (DIII, CI) for n in range(1, 7) if (cls, n) != (DIII, 1)]
+)
+def test_member_tables_match_equivalence_classes(cls, n):
+    """The chase's lookup, built from class_tables, holds exactly the
+    members of build_equivalence_classes: (q, sign) per (class, p), and
+    each class's rows p."""
+    q_by_p, s_by_p, member_p = _member_tables(*class_tables(cls, n))
+    classes = build_equivalence_classes(cls, n)
+    assert q_by_p.shape == (len(classes), 2 * n)
+    for c in classes:
+        members = {p - 1: (q - 1, s) for (p, q), s in zip(c.members, c.signs)}
+        assert len(members) == len(c.members)  # one member per row
+        assert set(np.flatnonzero(q_by_p[c.index] >= 0)) == set(members)
+        for p, (q, s) in members.items():
+            assert (q_by_p[c.index, p], s_by_p[c.index, p]) == (q, s)
+        assert sorted(member_p[c.index]) == [-1] * (4 - len(members)) + sorted(members)
 
 
 # -- exact finite-n variance ---------------------------------------------------
@@ -391,6 +422,8 @@ def test_cov_report_m4():
     assert rep.gap == abs(rep.v_n - 16.0)
     assert len(rep.per_g) == 8
     assert math.fsum(t.value for t in rep.per_g) == pytest.approx(rep.v_n, abs=1e-12)
+    shift_sum = _good_sign_sums(DIII, 3, 4, "equality", 10**8)
+    assert sum(t.sign_sum for t in rep.per_g) == 4 * (1 + (-1) ** 4) * shift_sum
     kinds = {t.kind for t in rep.per_g}
     assert kinds == {"shift", "reflection"}
 

@@ -11,9 +11,10 @@ import itertools
 import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from symmwig.covariance import _power_covariance, _power_trace_monomials
+from symmwig.covariance import BudgetError, _power_covariance, _power_trace_monomials
 from symmwig.ensemble import EntryModel, SymmetryClass, class_tables
 
 DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
@@ -130,6 +131,18 @@ def check_against_pairwise(cls, n, laws, powers):
                 assert got == want, (name, k1, k2)
             else:
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (name, k1, k2)
+
+
+@pytest.mark.parametrize("cls,n,k", [(CI, 2, 4), (DIII, 3, 3)])
+def test_expansion_budget_counts_least_index_walks(cls, n, k):
+    """The pass enumerates the walks that start at their least index,
+    sum over j = 1..2n of j^(k-1), and the budget counts exactly those."""
+    count = sum(j ** (k - 1) for j in range(1, 2 * n + 1))
+    want = _power_trace_monomials(cls, n, k, BUDGET)
+    got = _power_trace_monomials(cls, n, k, count)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(BudgetError, match=f"^{count} least-index walks exceed budget {count - 1}$"):
+        _power_trace_monomials(cls, n, k, count - 1)
 
 
 @pytest.mark.parametrize("cls,n", CELLS)
