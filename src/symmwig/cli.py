@@ -32,7 +32,7 @@ from .covariance import (
     cov_cheb_moment_oracle,
     cov_traces_config_oracle,
 )
-from .ensemble import EntryModel, SymmetryClass, build_equivalence_classes, sample_matrix
+from .ensemble import EntryModel, SymmetryClass, _to_float, build_equivalence_classes, sample_matrix
 from .montecarlo import (
     SimulationConfig,
     clt_report,
@@ -151,13 +151,6 @@ def _to_int(raw: str) -> int:
         raise ValueError(f"expected an integer, got {raw!r}")
 
 
-def _to_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}")
-
-
 def _to_class(raw: str) -> SymmetryClass:
     return SymmetryClass.parse(raw)
 
@@ -226,34 +219,6 @@ def _resolve(opts: Sequence[_Opt], ns: argparse.Namespace) -> dict:
                 raise ValueError(f"missing required --{opt.name}")
             values[opt.name] = opt.default
     return values
-
-
-def _entry_model(family: str, sigma: Optional[float]) -> EntryModel:
-    """The entry law of --family and --sigma; every subcommand takes its
-    scale, the Chebyshev scale included, from it.
-
-    Gaussian and Rademacher laws have scale --sigma, default 1.  An atom
-    law has its own scale, and a --sigma that differs from it is an error.
-    Atom lists are only parsed here; EntryModel checks them.
-    """
-    # the law keeps sigma^2, so its square must be a positive normal float
-    if sigma is not None and not (sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf):
-        raise ValueError("sigma must be positive and finite")
-    if family in ("gaussian", "rademacher"):
-        s = 1.0 if sigma is None else sigma
-        return EntryModel(family=family, sigma2=s * s)
-    atoms = []
-    for item in family[len("atoms:") :].split(","):
-        v, sep, p = item.partition(":")
-        if not sep:
-            raise ValueError(f"bad atom {item!r} (want value:prob)")
-        atoms.append((_to_float(v), _to_float(p)))
-    model = EntryModel.from_atoms(atoms)
-    if sigma is not None and not math.isclose(sigma, model.sigma, rel_tol=1e-9):
-        raise ValueError(
-            f"the atom law has scale {model.sigma:g}; --sigma {sigma:g} differs"
-        )
-    return model
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -358,7 +323,7 @@ def _cmd_patterns(values: dict) -> int:
 
 def _cmd_variance(values: dict) -> int:
     cls, m, mode = values["class"], values["m"], values["mode"]
-    model = _entry_model(values["family"], values["sigma"])
+    model = EntryModel.parse(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
     n = values["n"]
     if mode == "asymptotic":
@@ -379,7 +344,7 @@ def _cmd_variance(values: dict) -> int:
 
 def _cmd_oracle(values: dict) -> int:
     cls, n, m, mu = values["class"], values["n"], values["m"], values["mu"]
-    model = _entry_model(values["family"], values["sigma"])
+    model = EntryModel.parse(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
     if values["kind"] == "config":
         value = cov_traces_config_oracle(cls, n, m, mu, model, **budget)
@@ -392,20 +357,19 @@ def _cmd_oracle(values: dict) -> int:
 
 
 def _simulation(values: dict):
-    model = _entry_model(values["family"], values["sigma"])
     config = SimulationConfig(
         symmetry_class=values["class"],
         n=values["n"],
-        sigma=model.sigma,
+        sigma=values["sigma"],
         M=values["M"],
         samples=values["samples"],
         seed=values["seed"],
         family=values["family"],
         parallelism=_resolve_threads(values["threads"]),
     )
-    result = run_simulation(config)
-    theory = theory_vector(config.symmetry_class, config.M, model)
-    return config, result, theory
+    # the limits first: a scale whose powers overflow fails before sampling
+    theory = theory_vector(config.symmetry_class, config.M, config.model)
+    return config, run_simulation(config), theory
 
 
 def _clean(x):
@@ -425,7 +389,7 @@ def _report_json(subcommand: str, config, result, report) -> dict:
         "config": {
             "class": config.symmetry_class.value,
             "n": config.n,
-            "sigma": config.sigma,
+            "sigma": config.model.sigma,
             "M": config.M,
             "samples": config.samples,
             "seed": config.seed,
@@ -509,7 +473,7 @@ def _cmd_report(values: dict) -> int:
 
 
 def _cmd_traces(values: dict) -> int:
-    model = _entry_model(values["family"], values["sigma"])
+    model = EntryModel.parse(values["family"], values["sigma"])
     sample = sample_matrix(values["class"], values["n"], model, values["seed"])
     traces = trace_cheb_vector(sample, values["M"], model.sigma)
     rows = [[m + 1, float(t)] for m, t in enumerate(traces)]
@@ -527,7 +491,7 @@ _SIMULATE_OPTS = [
     _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
     _Opt("samples", _to_int, default=10_000),
     _Opt("seed", _to_int, default=0),
-    _Opt("family", _choice("gaussian", "rademacher"), default="gaussian"),
+    _Opt("family", _to_family, default="gaussian"),
     _Opt("threads", _to_int, help="worker processes (default SYMMWIG_THREADS or 1)"),
 ]
 
@@ -628,6 +592,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError:
+        print("error: the result overflows a float", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -788,12 +788,15 @@ def cov_cheb_moment_oracle(
     with the Chebyshev polynomials at the scale of the entry law.
 
     ``cache`` keeps the power covariances, keyed (j, k) with j <= k, and
-    the power-trace expansions, keyed ("trace", k); share one cache only
-    between calls with the same class, n and entry model.
+    the power-trace expansions, keyed ("trace", k).  Its first use records
+    the class, n and entry model under "law", and a call with any other
+    raises ValueError.
     """
     sigma = model.sigma
     if cache is None:
         cache = {}
+    if cache.setdefault("law", (symmetry_class, n, model)) != (symmetry_class, n, model):
+        raise ValueError("the cache holds another class, n or entry law")
     cm = cheb_coefficients(m, sigma).coeffs
     cmu = cheb_coefficients(mu, sigma).coeffs
     terms = []

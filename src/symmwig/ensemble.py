@@ -11,6 +11,7 @@ ensemble (1/sqrt(2n)) * (a(p, q)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -189,6 +190,13 @@ def class_tables(
     return cls_id, sign
 
 
+def _to_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}")
+
+
 @dataclass(frozen=True)
 class EntryModel:
     """Law of one representative entry: real, centered, E g^2 = sigma2.
@@ -222,6 +230,37 @@ class EntryModel:
                 raise ValueError("atom second moment must equal sigma2")
         elif self.atoms is not None:
             raise ValueError("atom list only valid for the atoms family")
+
+    @classmethod
+    def parse(cls, family: str, sigma: Optional[float] = None) -> "EntryModel":
+        """The law named by ``family`` at scale ``sigma``: the one rule from
+        a family name and a scale to a law.
+
+        Gaussian and Rademacher laws have scale ``sigma``, default 1.  An
+        ``atoms:v:p,...`` law has its own scale, and a ``sigma`` that
+        differs from it is an error.  Atom lists are only parsed here;
+        ``__post_init__`` checks them.
+        """
+        # the law keeps sigma^2, so its square must be a positive normal float
+        if sigma is not None and not (sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf):
+            raise ValueError("sigma must be positive and finite")
+        if family in ("gaussian", "rademacher"):
+            s = 1.0 if sigma is None else sigma
+            return cls(family=family, sigma2=s * s)
+        if not family.startswith("atoms:"):
+            raise ValueError(f"unknown family {family!r}")
+        atoms = []
+        for item in family[len("atoms:") :].split(","):
+            v, sep, p = item.partition(":")
+            if not sep:
+                raise ValueError(f"bad atom {item!r} (want value:prob)")
+            atoms.append((_to_float(v), _to_float(p)))
+        model = cls.from_atoms(atoms)
+        if sigma is not None and not math.isclose(sigma, model.sigma, rel_tol=1e-9):
+            raise ValueError(
+                f"the atom law has scale {model.sigma:g}; --sigma {sigma:g} differs"
+            )
+        return model
 
     @classmethod
     def gaussian(cls, sigma2: float = 1.0) -> "EntryModel":

@@ -40,8 +40,8 @@ holds only top halves, and every product yields n rows, never 2n:
   once per call over the spent W.  Either way a call forms h products.
 
 Each block is walked in sub-batches of SUB_BATCH_ENTRIES matrix entries per
-stack, drawn one after another from the block's own generator.  Gaussian
-and Rademacher draws are chunk-invariant, so the sample stream is the one a
+stack, drawn one after another from the block's own generator.  Every
+family's draws are chunk-invariant, so the sample stream is the one a
 block-wide draw would give, and memory does not grow with the sample count.
 """
 
@@ -89,14 +89,18 @@ SUB_BATCH_ENTRIES = 2**16  # matrix entries per stack in one kernel call
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One run's inputs; ``EntryModel.parse(family, sigma)`` resolves the law
+    once into ``model`` (sigma None: scale 1, or an atom law's own)."""
+
     symmetry_class: SymmetryClass
     n: int
-    sigma: float = 1.0
+    sigma: Optional[float] = None
     M: int = 6
     samples: int = 10_000
     seed: int = 0
     family: str = "gaussian"
     parallelism: int = 1
+    model: EntryModel = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.symmetry_class, str):
@@ -109,19 +113,10 @@ class SimulationConfig:
             raise ValueError("M must be >= 1")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        self.model  # rejects an unknown family here, not inside a worker
-
-    @property
-    def model(self) -> EntryModel:
-        return EntryModel(family=self.family, sigma2=self.sigma**2)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
+        # a bad law is rejected here, not inside a worker
+        object.__setattr__(self, "model", EntryModel.parse(self.family, self.sigma))
 
 
 @dataclass
@@ -300,7 +295,7 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
 def _first_trace(config: SimulationConfig, layout: BlockLayout) -> np.ndarray:
     """The trace vector of block 0's first sample, from its own stream."""
     draws = config.model.draw(derive_rng(config.seed, (0,)), (1, layout.n_classes))
-    return _trace_vectors(config.symmetry_class, draws, config.sigma, config.M, layout)[0]
+    return _trace_vectors(config.symmetry_class, draws, config.model.sigma, config.M, layout)[0]
 
 
 def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
@@ -317,11 +312,11 @@ def _run_block(config: SimulationConfig, block: int, bounds: tuple[int, int],
     for add_lo in range(lo, hi, per_add):
         t = np.empty((min(per_add, hi - add_lo), config.M))
         for start in range(0, len(t), rows):
-            # Gaussian and Rademacher draws are chunk-invariant: consecutive
+            # every family's draws are chunk-invariant: consecutive
             # sub-batches read the stream one block-wide draw would read
             draws = config.model.draw(rng, (min(rows, len(t) - start), layout.n_classes))
             t[start:start + len(draws)] = _trace_vectors(
-                config.symmetry_class, draws, config.sigma, config.M, layout, work
+                config.symmetry_class, draws, config.model.sigma, config.M, layout, work
             )
         acc.add_batch(t)
     return acc

@@ -305,11 +305,10 @@ def test_bad_sigma_rejected_on_every_subcommand(capsys, argv, sigma):
     assert err.splitlines() == ["error: sigma must be positive and finite"]
 
 
-ATOM_COMMANDS = SIGMA_COMMANDS[:6]  # simulate and report take no atom law
 ATOM_LAW = ("--family", "atoms:-1:0.5,1:0.5")  # scale 1
 
 
-@pytest.mark.parametrize("argv", ATOM_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize("argv", SIGMA_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
 def test_atom_law_has_one_scale_on_every_subcommand(capsys, argv):
     """An atom law carries its own scale: a --sigma off it is the same
     error on every subcommand, mode and oracle kind, and a --sigma on it
@@ -321,6 +320,26 @@ def test_atom_law_has_one_scale_on_every_subcommand(capsys, argv):
     default = run(capsys, *argv, *ATOM_LAW)
     assert default[0] == 0
     assert run(capsys, *argv, *ATOM_LAW, "--sigma", "1") == default
+
+
+OVERFLOW_COMMANDS = (
+    ("variance", "--class", "CI", "--m", "4", "--sigma", "1e150"),
+    ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3", "--sigma", "1e150"),
+    ("variance", "--class", "CI", "--m", "2", "--mode", "exact", "--n", "3", "--sigma", "1e100"),
+    ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "moment",
+     "--sigma", "1e150"),
+    ("simulate", "--class", "CI", "--n", "2", "--samples", "10", "--sigma", "1e150"),
+)
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-4:]))
+def test_overflow_is_one_error_line(capsys, argv):
+    """A sigma whose powers overflow a float is one error line and exit 1,
+    with nothing on stdout, not a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: the result overflows a float"]
 
 
 def test_exact_variance_rejects_sigma_off_the_atom_scale(capsys):

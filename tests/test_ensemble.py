@@ -241,6 +241,27 @@ def test_entry_model_rejects_bad_scale(sigma2):
         EntryModel.gaussian(sigma2)
 
 
+def test_entry_model_parse():
+    """One rule from a family name and a scale to a law: gaussian and
+    rademacher take the scale (default 1), an atom law has its own."""
+    assert EntryModel.parse("gaussian") == EntryModel.gaussian()
+    assert EntryModel.parse("rademacher", 0.7) == EntryModel.rademacher(0.7 * 0.7)
+    atoms = EntryModel.from_atoms([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+    assert EntryModel.parse("atoms:-1:0.25,0:0.5,1:0.25") == atoms
+    assert EntryModel.parse("atoms:-1:0.25,0:0.5,1:0.25", atoms.sigma) == atoms
+
+
+@pytest.mark.parametrize("family, sigma, message", (
+    ("lognormal", None, "unknown family"),
+    ("atoms:1", None, "bad atom"),
+    ("atoms:x:1", None, "expected a number"),
+    ("atoms:-1:0.5,1:0.5", 2.0, "differs"),
+))
+def test_entry_model_parse_rejects(family, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        EntryModel.parse(family, sigma)
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_signed_gather_equals_literal_scatter(cls, n):
@@ -267,7 +288,12 @@ def test_rademacher_draw_is_the_signed_scale(sigma):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("model", (EntryModel.gaussian(0.49), EntryModel.rademacher(2.0)))
+@pytest.mark.parametrize("model", (
+    EntryModel.gaussian(0.49),
+    EntryModel.rademacher(2.0),
+    EntryModel.parse("atoms:-1:0.25,0:0.5,1:0.25"),
+    EntryModel.parse("atoms:-0.5:0.6,0.75:0.4"),
+))
 @pytest.mark.parametrize("chunk", (1, 63, 200, 736))
 def test_draws_are_chunk_invariant(model, chunk):
     """Drawing rows in consecutive chunks reads the same stream as one

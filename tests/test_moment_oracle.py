@@ -14,7 +14,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from symmwig.covariance import BudgetError, _power_covariance, _power_trace_monomials
+from symmwig.covariance import (
+    BudgetError,
+    _power_covariance,
+    _power_trace_monomials,
+    cov_cheb_moment_oracle,
+)
 from symmwig.ensemble import EntryModel, SymmetryClass, class_tables
 
 DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
@@ -160,3 +165,19 @@ def test_histogram_sums_match_pairwise_skewed(cls, n):
     large = (cls, n) in ((CI, 3), (DIII, 4))
     powers = [(k1, k2) for k1, k2 in POWERS if not large or k1 + k2 <= 10]
     check_against_pairwise(cls, n, LAWS[-1:], powers)
+
+
+def test_shared_cache_rejects_another_cell_or_law():
+    """A cache is tied to the class, n and law of its first call: another
+    law, class or n is an error, not the first law's power covariances."""
+    gauss, radem = EntryModel.gaussian(), EntryModel.rademacher()
+    cache: dict = {}
+    first = cov_cheb_moment_oracle(CI, 2, 4, 4, gauss, cache=cache)
+    for args in ((CI, 2, 4, 4, radem), (DIII, 3, 4, 4, gauss), (CI, 3, 4, 4, gauss)):
+        with pytest.raises(ValueError, match="another class, n or entry law"):
+            cov_cheb_moment_oracle(*args, cache=cache)
+    assert cov_cheb_moment_oracle(CI, 2, 4, 4, gauss, cache=cache) == first
+    assert cov_cheb_moment_oracle(CI, 2, 2, 4, EntryModel.gaussian(1.0), cache=cache) == (
+        cov_cheb_moment_oracle(CI, 2, 2, 4, gauss)
+    )
+    assert cov_cheb_moment_oracle(CI, 2, 4, 4, radem) == 2.0

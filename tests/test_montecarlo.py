@@ -41,9 +41,11 @@ def test_config_validation():
     assert SimulationConfig("diii", 4).symmetry_class is DIII
 
 
-@pytest.mark.parametrize("sigma", (-1.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("sigma", (-1.0, float("nan"), float("inf"), 1e200, 1e-170, 1e-160))
 def test_config_rejects_bad_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma"):
+    """A sigma whose square overflows, underflows to zero or is subnormal
+    is rejected too."""
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
         SimulationConfig(CI, 4, sigma=sigma)
 
 
@@ -157,7 +159,9 @@ def test_square_of_sample_is_fixed_by_its_top_rows(cls, family):
         assert np.abs(Q + Q.swapaxes(1, 2)).max() <= tol
 
 
-@pytest.mark.parametrize("cls, family", ((CI, "gaussian"), (DIII, "rademacher")))
+@pytest.mark.parametrize("cls, family", (
+    (CI, "gaussian"), (DIII, "rademacher"), (CI, "atoms:-0.5:0.6,0.75:0.4"),
+))
 def test_sub_batches_change_rounding_only(cls, family, monkeypatch):
     """Splitting each block into kernel sub-batches and accumulation chunks
     keeps the sample stream; only the summation order moves."""
@@ -205,7 +209,7 @@ def _same_bytes(a, b) -> bool:
 
 
 @pytest.mark.parametrize("cls", (CI, DIII))
-@pytest.mark.parametrize("family", ("gaussian", "rademacher"))
+@pytest.mark.parametrize("family", ("gaussian", "rademacher", "atoms:-1:0.245,0:0.51,1:0.245"))
 def test_worker_processes_are_bit_identical(cls, family, monkeypatch):
     """Every estimate array and every per-block sum is the same bytes at 1,
     2 and 3 worker processes, and in-process where fork is unavailable."""
@@ -469,7 +473,7 @@ def diii_64_traces():
     return [
         _trace_vectors(
             DIII, cfg.model.draw(derive_rng(cfg.seed, (b,)), (per, layout.n_classes)),
-            cfg.sigma, cfg.M, layout,
+            cfg.model.sigma, cfg.M, layout,
         )
         for b in range(N_BLOCKS)
     ]
