@@ -60,8 +60,9 @@ def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
     Accepts a MatrixSample, a dense Hermitian ndarray, or a stack of them
     of shape (..., dim, dim), giving traces of shape (..., M).  Imaginary
     residue beyond 1e-9 * dim in any trace of a complex input signals
-    broken Hermiticity and raises; a real input has none.  The stacks of
-    the recurrence are allocated once per call.
+    broken Hermiticity and raises, as does a non-finite input; a real input
+    has none.  An overflow raises OverflowError.  The stacks of the
+    recurrence are allocated once per call.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -71,6 +72,8 @@ def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
     X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex, like every stack below
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has non-finite entries")
     return _recurrence_traces(X, M, sigma, [np.empty_like(X) for _ in range(_stack_count(M))])
 
 
@@ -79,13 +82,14 @@ def _stack_count(M: int) -> int:
     return min(3, M - 1) + 1 if M > 1 else 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the traces
 def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.ndarray:
     """``trace_cheb_vector`` on a checked square float or complex stack X.
 
     T_{m+1} = X T_m - sigma^2 T_{m-1} runs in up to three rotating stacks,
     stacks[0..2], with sigma^2 T_{m-1} in the scratch stack stacks[-1];
     ``stacks`` holds ``_stack_count(M)`` arrays shaped like X.  X is never
-    written to.
+    written to.  With X and sigma finite, a non-finite trace is an overflow.
     """
     dim = X.shape[-1]
     out = np.empty(X.shape[:-2] + (M,), dtype=float)
@@ -97,6 +101,8 @@ def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.
     tol = 1e-9 * dim
     for m in range(1, M + 1):
         np.trace(cur, axis1=-2, axis2=-1, out=tr)
+        if not np.isfinite(tr).all():
+            raise OverflowError(f"trace of degree {m} overflows a float")
         if complex_input:
             residue = np.max(np.abs(tr.imag), initial=0.0)
             if residue > tol:

@@ -3,11 +3,12 @@
 The covariance of two power traces expands into a sum over pairs of cyclic
 index walks; grouping the walk pairs by which entries coincide reduces the
 leading order to one term per dihedral group element.  This module
-evaluates the finite-size formula exactly (integer sign bookkeeping, one
-float rounding at the end), provides the closed-form limits, and carries
-two independent brute-force oracles used to cross-check everything:
-a configuration oracle for finite-support entry laws and a moment oracle
-that factorizes entry products over equivalence classes.
+evaluates the finite-size formula and the closed-form limits exactly, each
+one rational in sigma^2 rounded to float once, and carries two independent
+brute-force oracles used to cross-check everything: a configuration oracle
+for finite-support entry laws and a moment oracle that factorizes entry
+products over equivalence classes (its Chebyshev sum alone combines
+power covariances that are each rounded already).
 
 The configuration oracle splits the configuration index into low digits,
 whose matrices are built once, and high digits, one matrix per value added
@@ -173,33 +174,48 @@ def _good_sign_sums(
 
 # -- exact finite-size variance ------------------------------------------------
 
-def _pair_moment_unit(symmetry_class: SymmetryClass) -> int:
-    # E a(P) a(Q) within one class is (sign product) * unit * E g^2;
-    # the DIII representative entry is i*g, so the unit is i^2 = -1.
-    return -1 if symmetry_class is SymmetryClass.DIII else 1
-
-
 def _square_variance(model: EntryModel) -> Fraction:
     """Var(g^2) = E g^4 - (E g^2)^2, exactly."""
     return model.exact_moment(4) - model.exact_moment(2) ** 2
 
 
-def _dihedral_value(
-    symmetry_class: SymmetryClass, n: int, m: int, model: EntryModel, sign_sum: int
-) -> float:
-    """A good-set sign sum scaled to its share of V_n, rounded once."""
-    unit = _pair_moment_unit(symmetry_class)
-    return float(Fraction(sign_sum * unit**m, (2 * n) ** m)) * model.sigma2**m
+def _exact_cell(
+    symmetry_class: SymmetryClass,
+    n: int,
+    m: int,
+    model: EntryModel,
+    partition_mode: str,
+    budget: int,
+) -> tuple[Fraction, Optional[int]]:
+    """V_n as one rational in sigma^2, and for m >= 3 the shift sum S of
+    ``_good_sign_sums`` (else None).
 
-
-def _dihedral_variance(
-    symmetry_class: SymmetryClass, n: int, m: int, model: EntryModel, shift_sum: int
-) -> tuple[float, dict[str, int]]:
-    """V_n at m >= 3 from the shift sum S of ``_good_sign_sums``, and the
-    sign sum of each kind: S for the m shifts, eps^m S for the m reflections."""
-    eps_m = _pair_moment_unit(symmetry_class) ** m  # eps is the pair-moment unit
-    sums = {"shift": shift_sum, "reflection": eps_m * shift_sum}
-    return _dihedral_value(symmetry_class, n, m, model, m * (1 + eps_m) * shift_sum), sums
+    m=1 sums diagonal second moments, m=2 fourth-moment covariances over
+    equivalent off-diagonal pairs, both from the counts and signs of
+    ``class_tables``.  m>=3 is the dihedral formula m (1 + u^m) S
+    (u sigma^2 / 2n)^m, u the pair unit (eps of ``_good_sign_sums``): S for
+    each of the m shifts and u^m S for each of the m reflections.
+    """
+    if partition_mode not in PARTITION_MODES:
+        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
+    if m < 1:
+        raise ValueError("m must be positive")
+    u, dim = symmetry_class.pair_unit, 2 * n
+    if m >= 3:
+        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+        scale = (u * Fraction(model.sigma2) / dim) ** m
+        return m * (1 + u**m) * shift_sum * scale, shift_sum
+    cls_id, sign = class_tables(symmetry_class, n)
+    if m == 1:
+        # E a_pp a_qq is (sign product) * u * sigma2 when both diagonal
+        # entries lie in one class, else 0: a square of per-class sign sums
+        diag = np.diagonal(cls_id)
+        live = diag >= 0
+        per_class = np.bincount(diag[live], weights=np.diagonal(sign)[live])
+        return u * int(per_class @ per_class) * Fraction(model.sigma2) / dim, None
+    off = cls_id[~np.eye(dim, dtype=bool)]
+    ksum = int(np.sum(np.bincount(off[off >= 0]) ** 2))
+    return Fraction(ksum, dim**2) * _square_variance(model), None
 
 
 def V_n_exact(
@@ -210,38 +226,12 @@ def V_n_exact(
     partition_mode: str = "equality",
     budget: int = 10**8,
 ) -> float:
-    """Finite-size variance coefficient of the degree-m Chebyshev trace.
-
-    m=1 sums diagonal second moments directly, m=2 sums fourth-moment
-    covariances over equivalent off-diagonal pairs, both from the counts
-    and signs of ``class_tables``, and m>=3 evaluates the dihedral
-    good-set formula with integer sign arithmetic, rounding to float once
-    at the end.  For m >= 3 this is the leading-order formula evaluated at
-    n, not the finite-n variance that the oracles compute; the two differ
-    by O(1/n).  The whole dihedral formula is one integer S, the shift(0)
-    sign sum of one pass with row one starting at index 0: the 2m
-    elements contribute m (1 + eps^m) S (see ``_good_sign_sums``).
+    """Finite-size variance coefficient of the degree-m Chebyshev trace:
+    the rational of ``_exact_cell``, rounded to float once.  For m >= 3
+    this is the leading-order formula evaluated at n, not the finite-n
+    variance that the oracles compute; the two differ by O(1/n).
     """
-    if partition_mode not in PARTITION_MODES:
-        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m >= 3:
-        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
-        return _dihedral_variance(symmetry_class, n, m, model, shift_sum)[0]
-    dim = 2 * n
-    cls_id, sign = class_tables(symmetry_class, n)
-    if m == 1:
-        # E a_pp a_qq is (sign product) * unit * sigma2 when both diagonal
-        # entries lie in one class, else 0: a square of per-class sign sums
-        diag = np.diagonal(cls_id)
-        live = diag >= 0
-        per_class = np.bincount(diag[live], weights=np.diagonal(sign)[live])
-        acc = _pair_moment_unit(symmetry_class) * int(per_class @ per_class)
-        return float(acc) * model.sigma2 / dim
-    off = cls_id[~np.eye(dim, dtype=bool)]
-    ksum = int(np.sum(np.bincount(off[off >= 0]) ** 2))
-    return float(Fraction(ksum, dim**2) * _square_variance(model))
+    return float(_exact_cell(symmetry_class, n, m, model, partition_mode, budget)[0])
 
 
 def V_asymptotic(
@@ -253,7 +243,8 @@ def V_asymptotic(
     (0 for m=1 and odd m, 4m sigma^(2m) for even m >= 4, sigma the scale
     of the entry law) and "derived" for m=2, whose limit is model
     dependent: 4 Var(g^2), validated against the finite-size values and
-    the oracles, not quoted from anywhere.
+    the oracles, not quoted from anywhere.  Both are exact rationals in
+    sigma^2, rounded once.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -261,7 +252,7 @@ def V_asymptotic(
         return float(4 * _square_variance(model)), "derived"
     if m % 2 == 1:
         return 0.0, "theorem"
-    return 4.0 * m * model.sigma ** (2 * m), "theorem"
+    return float(4 * m * Fraction(model.sigma2) ** m), "theorem"
 
 
 # -- configuration oracle ------------------------------------------------------
@@ -767,10 +758,7 @@ def _power_covariance(
     prune = model.odd_moments_vanish(k1 + k2)
     exy = _histogram_value(_cross_histograms(P1, P2, prune, place), place, mom)
     ex, ey = expect(P1), expect(P2)
-    if symmetry_class is SymmetryClass.DIII:
-        unit = (-1.0) ** ((k1 + k2) // 2)
-    else:
-        unit = 1.0
+    unit = symmetry_class.pair_unit ** ((k1 + k2) // 2)
     norm = float(2 * n) ** (-(k1 + k2) // 2)
     return unit * norm * float(exy - ex * ey)
 
@@ -849,21 +837,19 @@ def cov_report(
     """Exact value, limit, gap, and (for m >= 3) the per-element split.
 
     For m >= 3 one enumeration pass gives the shift sum S; the 2m rows
-    carry S for every shift and eps^m S for every reflection, and v_n is
-    the value of their total, as in ``V_n_exact``.  The limit is
-    ``V_asymptotic`` of the same entry law.
+    carry S for every shift and eps^m S for every reflection, each valued
+    as one rational rounded once, and v_n is the value of their total, as
+    in ``V_n_exact``.  The limit is ``V_asymptotic`` of the same entry law.
     """
+    total, shift_sum = _exact_cell(symmetry_class, n, m, model, partition_mode, budget)
+    v_n = float(total)
     per_g: tuple[PerGContribution, ...] = ()
-    if m < 3:
-        v_n = V_n_exact(symmetry_class, n, m, model, partition_mode, budget)
-    else:
-        if partition_mode not in PARTITION_MODES:
-            raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
-        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
-        v_n, sums = _dihedral_variance(symmetry_class, n, m, model, shift_sum)
-        value = {k: _dihedral_value(symmetry_class, n, m, model, s) for k, s in sums.items()}
+    if shift_sum is not None:
+        u = symmetry_class.pair_unit
+        scale = (u * Fraction(model.sigma2) / (2 * n)) ** m
+        sums = {"shift": shift_sum, "reflection": u**m * shift_sum}
         per_g = tuple(
-            PerGContribution(str(g), g.kind, g.nu, sums[g.kind], value[g.kind])
+            PerGContribution(str(g), g.kind, g.nu, sums[g.kind], float(sums[g.kind] * scale))
             for g in dihedral_group(m)
         )
     v_inf, flag = V_asymptotic(symmetry_class, m, model)

@@ -47,6 +47,12 @@ class SymmetryClass(Enum):
         except KeyError:
             raise ValueError(f"unknown symmetry class {text!r} (expected DIII or CI)")
 
+    @property
+    def pair_unit(self) -> int:
+        """E a(P) a(Q) within one class is (sign product) * pair_unit * E g^2:
+        the DIII entries are i g, so the unit is i^2 = -1; in CI it is 1."""
+        return -1 if self is SymmetryClass.DIII else 1
+
 
 # Index pairs are 1-based (p, q) tuples with 1 <= p, q <= 2n.
 IndexPair = tuple[int, int]
@@ -66,10 +72,6 @@ class EquivClass:
     b: int
     members: tuple[IndexPair, ...]
     signs: tuple[int, ...]
-
-    @property
-    def representative(self) -> IndexPair:
-        return self.members[0]
 
     @property
     def size(self) -> int:

@@ -187,14 +187,6 @@ class SimulationResult:
     blocks: tuple[MomentAccumulator, ...] = field(repr=False)
     wall_time: float = 0.0
 
-    @property
-    def mean(self) -> np.ndarray:
-        return self.estimates.mean
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.estimates.cov
-
 
 # -- trace evaluation ----------------------------------------------------------
 
@@ -230,7 +222,7 @@ def _trace_vectors(
     # X = i W / sqrt(dim) or W / sqrt(dim); either way the top rows of
     # T_2 = X^2 - 2 sigma^2 I are [P | Q] = top(W W) scaled and shifted in place
     T2 = np.matmul(W[:, :n], W, out=tops[0])
-    T2 *= (-1.0 if symmetry_class is SymmetryClass.DIII else 1.0) / dim
+    T2 *= symmetry_class.pair_unit / dim
     _diagonal(T2)[...] -= 2.0 * s2
     P, Q = T2[..., :n], T2[..., n:]
     # tops[j - 1] holds top(T_{2j}) for j <= f; for floor(M/2) > 3 every

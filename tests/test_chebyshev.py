@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,26 @@ def test_non_finite_or_non_positive_sigma_rejected(sigma):
         cheb_coefficients(2, sigma)
     with pytest.raises(ValueError, match="sigma"):
         trace_cheb_vector(np.eye(2), 2, sigma)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+def test_non_finite_matrix_rejected(bad):
+    X = np.eye(3)
+    X[0, 1] = X[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_cheb_vector(X, 3, 1.0)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_overflowing_trace_raises(dtype):
+    """A finite input whose traces overflow raises OverflowError at the first
+    degree that does, with no floating-point warning."""
+    X = np.array([[0.0, 1e150], [1e150, 0.0]], dtype=dtype)
+    assert trace_cheb_vector(X, 2, 1.0)[1] == pytest.approx(2e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="degree 4"):
+            trace_cheb_vector(X, 6, 1.0)
 
 
 def literal_traces(X, M, sigma):

@@ -329,6 +329,9 @@ OVERFLOW_COMMANDS = (
     ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "moment",
      "--sigma", "1e150"),
     ("simulate", "--class", "CI", "--n", "2", "--samples", "10", "--sigma", "1e150"),
+    ("traces", "--class", "CI", "--n", "2", "--sigma", "1e150"),
+    ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "config",
+     "--sigma", "1e150"),
 )
 
 

@@ -448,3 +448,53 @@ def test_sigma_scaling_property(cls, n, m, sigma):
     base = V_n_exact(cls, n, m, EntryModel.gaussian(1.0))
     scaled = V_n_exact(cls, n, m, EntryModel.gaussian(sigma * sigma))
     assert scaled == pytest.approx(sigma ** (2 * m) * base, rel=1e-11, abs=1e-13)
+
+
+def exact_rational(cls, n, m, sigma2):
+    """V_n of the Gaussian law at sigma2 as a Fraction, with the per-element
+    values for m >= 3, built from ``_good_sign_sums`` and ``class_tables``."""
+    unit, dim, s2 = -1 if cls is DIII else 1, 2 * n, Fraction(sigma2)
+    if m >= 3:
+        shift = _good_sign_sums(cls, n, m, "equality", 10**8) * (unit * s2 / dim) ** m
+        per = {"shift": shift, "reflection": unit**m * shift}
+        return m * (per["shift"] + per["reflection"]), per
+    cls_id, sign = class_tables(cls, n)
+    if m == 1:
+        per_class = {}
+        for p in range(dim):
+            if cls_id[p, p] >= 0:
+                c = int(cls_id[p, p])
+                per_class[c] = per_class.get(c, 0) + int(sign[p, p])
+        return unit * sum(v * v for v in per_class.values()) * s2 / dim, {}
+    sizes = {}
+    for p, q in itertools.permutations(range(dim), 2):
+        if cls_id[p, q] >= 0:
+            sizes[int(cls_id[p, q])] = sizes.get(int(cls_id[p, q]), 0) + 1
+    return Fraction(sum(k * k for k in sizes.values()), dim**2) * 2 * s2**2, {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma2=st.floats(min_value=0.05, max_value=20.0))
+def test_exact_values_round_once(sigma2):
+    """V_n_exact, cov_report's v_n and per-element values, and V_asymptotic
+    each equal the float of their exact rational in sigma2."""
+    model = EntryModel.gaussian(sigma2)
+    for cls, n, m in itertools.product((DIII, CI), (2, 3), range(1, 7)):
+        total, per = exact_rational(cls, n, m, sigma2)
+        assert V_n_exact(cls, n, m, model) == float(total)
+        rep = cov_report(cls, n, m, model)
+        assert rep.v_n == float(total)
+        want = [float(per[g.kind]) for g in dihedral_group(m)] if per else []
+        assert [t.value for t in rep.per_g] == want
+        s2 = Fraction(sigma2)
+        limit = 8 * s2**2 if m == 2 else 4 * m * s2**m * (m % 2 == 0)
+        assert V_asymptotic(cls, m, model)[0] == float(limit)
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("mode", ("equality", "compatible"))
+@pytest.mark.parametrize("sigma2", (1.0, 0.49, 1.69))
+def test_v_n_exact_is_cov_report_v_n(cls, mode, sigma2):
+    model = EntryModel.gaussian(sigma2)
+    for n, m in itertools.product((2, 3), range(1, 7)):
+        assert V_n_exact(cls, n, m, model, mode) == cov_report(cls, n, m, model, mode).v_n

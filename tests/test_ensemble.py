@@ -28,6 +28,14 @@ def test_parse():
         SymmetryClass.parse("AII")
 
 
+@pytest.mark.parametrize("cls", CLASSES)
+def test_pair_unit_is_the_square_of_the_entry_unit(cls):
+    """E a(P) a(Q) within one class carries the square of the factor that
+    turns a drawn value into a matrix entry: i in DIII, 1 in CI."""
+    assert cls.pair_unit == {SymmetryClass.DIII: -1, SymmetryClass.CI: 1}[cls]
+    assert block_layout(cls, 3).unit ** 2 == cls.pair_unit
+
+
 def test_diii_n1_rejected():
     with pytest.raises(ValueError):
         build_equivalence_classes(SymmetryClass.DIII, 1)
