@@ -48,34 +48,6 @@ VARIANCE_MODES = ("exact", "asymptotic", "oracle")
 ORACLE_KINDS = ("config", "moment")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run, with every parameter resolved.
-
-    Replaying the manifest of an exact-mode command reproduces its table
-    byte for byte; for Monte Carlo commands the seed makes reruns
-    bit-identical as well.
-    """
-
-    subcommand: str
-    parameters: dict
-    seed: Optional[int]
-    version: str
-    timestamp: str
-    environment: dict
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "environment": self.environment,
-        }
-
-
 def _blas_threads() -> Optional[int]:
     """OpenBLAS's own thread count, asked through numpy's loaded library;
     None when no OpenBLAS thread query can be found."""
@@ -169,9 +141,8 @@ def _to_delta(raw: str) -> DeltaMatrix:
 
 
 def _to_family(raw: str) -> str:
-    if raw in ("gaussian", "rademacher") or raw.startswith("atoms:"):
-        return raw
-    raise ValueError("family must be gaussian, rademacher, or atoms:<value:prob,...>")
+    EntryModel.parse(raw)
+    return raw
 
 
 def load_config(path: str) -> dict[str, tuple[int, str]]:
@@ -267,16 +238,20 @@ def _emit(
         with open(out + ".json", "w", encoding="utf-8") as fh:
             json.dump(json_doc, fh, indent=2)
             fh.write("\n")
-    manifest = RunManifest(
-        subcommand=subcommand,
-        parameters=_manifest_params(values),
-        seed=seed,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        environment=_environment(),
-    )
+    # what was run, with every parameter resolved: replaying the manifest of
+    # an exact-mode command reproduces its table byte for byte, and for Monte
+    # Carlo commands the seed makes reruns bit-identical as well
+    manifest = {
+        "schema": SCHEMA,
+        "subcommand": subcommand,
+        "parameters": _manifest_params(values),
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "environment": _environment(),
+    }
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 

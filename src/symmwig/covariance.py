@@ -7,8 +7,7 @@ evaluates the finite-size formula and the closed-form limits exactly, each
 one rational in sigma^2 rounded to float once, and carries two independent
 brute-force oracles used to cross-check everything: a configuration oracle
 for finite-support entry laws and a moment oracle that factorizes entry
-products over equivalence classes (its Chebyshev sum alone combines
-power covariances that are each rounded already).
+products over equivalence classes.
 
 The configuration oracle splits the configuration index into low digits,
 whose matrices are built once, and high digits, one matrix per value added
@@ -16,7 +15,8 @@ to the whole low block, and runs the recurrence on one block per sign orbit
 of the high digits.  The moment oracle expands each power trace over
 rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
-over a few dozen histograms, rounded once.
+over a few dozen histograms; its Chebyshev sum stays rational and is
+rounded once.
 
 The dihedral formula is one integer per cell: every shift has the sign
 sum S of shift(0) and every reflection eps^m S (eps = -1 in DIII, +1 in
@@ -595,10 +595,11 @@ def cov_traces_moment_oracle(
     class-variable monomials with integer coefficients, and evaluates all
     expectations from the model's exact moments.  Entry laws with vanishing
     odd moments allow cross terms to be pruned by odd-exponent signature.
+    The covariance is one rational, rounded to float once.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("powers must be >= 1")
-    return _power_covariance(symmetry_class, n, k1, k2, model, budget, {})
+    return float(_power_covariance(symmetry_class, n, k1, k2, model, budget, {}))
 
 
 def _power_expansion(
@@ -731,20 +732,20 @@ def _power_covariance(
     model: EntryModel,
     budget: int,
     cache: dict,
-) -> float:
-    """``cov_traces_moment_oracle`` for k1, k2 >= 1, taking the power-trace
-    expansions from ``cache`` and storing the ones it builds there.
+) -> Fraction:
+    """``cov_traces_moment_oracle`` for k1, k2 >= 1 as an exact rational,
+    taking the power-trace expansions from ``cache`` and storing the ones
+    it builds there.
 
     A product of class moments depends only on the histogram of the
     exponents (how many classes carry each exponent), so the integer
-    coefficients of E[XY], E[X] and E[Y] are summed exactly per histogram,
-    each expectation is one exact sum over a few dozen histograms, and
-    E[XY] - E[X] E[Y] is rounded once, before the scaling.
+    coefficients of E[XY], E[X] and E[Y] are summed exactly per histogram
+    and each expectation is one exact sum over a few dozen histograms.
     """
     if (k1 + k2) % 2 == 1:
         # one trace is an odd polynomial of an ensemble symmetric under
         # X -> -X conjugation, hence identically zero
-        return 0.0
+        return Fraction(0)
     P1 = _power_expansion(cache, symmetry_class, n, k1, budget)
     P2 = _power_expansion(cache, symmetry_class, n, k2, budget)
     mom = [model.exact_moment(v) for v in range(k1 + k2 + 1)]
@@ -758,9 +759,8 @@ def _power_covariance(
     prune = model.odd_moments_vanish(k1 + k2)
     exy = _histogram_value(_cross_histograms(P1, P2, prune, place), place, mom)
     ex, ey = expect(P1), expect(P2)
-    unit = symmetry_class.pair_unit ** ((k1 + k2) // 2)
-    norm = float(2 * n) ** (-(k1 + k2) // 2)
-    return unit * norm * float(exy - ex * ey)
+    h = (k1 + k2) // 2
+    return Fraction(symmetry_class.pair_unit**h, (2 * n) ** h) * (exy - ex * ey)
 
 
 def cov_cheb_moment_oracle(
@@ -773,21 +773,39 @@ def cov_cheb_moment_oracle(
     budget: int = 10**8,
 ) -> float:
     """Cov(Tr T_m, Tr T_mu) assembled bilinearly from power covariances,
-    with the Chebyshev polynomials at the scale of the entry law.
+    with the Chebyshev polynomials at the scale of the entry law: the
+    rational of ``_cheb_covariance``, rounded to float once.
 
-    ``cache`` keeps the power covariances, keyed (j, k) with j <= k, and
-    the power-trace expansions, keyed ("trace", k).  Its first use records
-    the class, n and entry model under "law", and a call with any other
-    raises ValueError.
+    ``cache`` keeps the exact power covariances, keyed (j, k) with j <= k,
+    and the power-trace expansions, keyed ("trace", k).  Its first use
+    records the class, n and entry model under "law", and a call with any
+    other raises ValueError.
     """
-    sigma = model.sigma
     if cache is None:
         cache = {}
+    return float(_cheb_covariance(symmetry_class, n, m, mu, model, cache, budget))
+
+
+def _cheb_covariance(
+    symmetry_class: SymmetryClass,
+    n: int,
+    m: int,
+    mu: int,
+    model: EntryModel,
+    cache: dict,
+    budget: int,
+) -> Fraction:
+    """``cov_cheb_moment_oracle`` as an exact rational in sigma^2.
+
+    T_m has the parity of m, so c_j != 0 only where m - j is even, and
+    every scale factor sigma^(m-j+mu-k) is an integer power of sigma^2.
+    """
     if cache.setdefault("law", (symmetry_class, n, model)) != (symmetry_class, n, model):
         raise ValueError("the cache holds another class, n or entry law")
-    cm = cheb_coefficients(m, sigma).coeffs
-    cmu = cheb_coefficients(mu, sigma).coeffs
-    terms = []
+    cm = cheb_coefficients(m, model.sigma).coeffs
+    cmu = cheb_coefficients(mu, model.sigma).coeffs
+    s2 = Fraction(model.sigma2)
+    total = Fraction(0)
     for j in range(1, m + 1):
         if cm[j] == 0:
             continue
@@ -799,8 +817,8 @@ def cov_cheb_moment_oracle(
                 cache[key] = _power_covariance(
                     symmetry_class, n, key[0], key[1], model, budget, cache
                 )
-            terms.append(cm[j] * cmu[k] * sigma ** (m - j + mu - k) * cache[key])
-    return math.fsum(terms)
+            total += cm[j] * cmu[k] * s2 ** ((m - j + mu - k) // 2) * cache[key]
+    return total
 
 
 # -- reporting -------------------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from symmwig import SymmetryClass, cov_cheb_moment_oracle
+from symmwig import SymmetryClass
+from symmwig.covariance import _cheb_covariance
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,16 @@ def _interpolate(xs: list[int], ys: list[int]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def exact_finite_n(q: Callable[[int], float], k: int, first: int = 1) -> FiniteN:
-    """Fit D(n) = (2n)^k q(n) at n = first .. first+k-1, check at first+k."""
+def exact_finite_n(q: Callable[[int], Fraction], k: int, first: int = 1) -> FiniteN:
+    """Fit D(n) = (2n)^k q(n) at n = first .. first+k-1, check at first+k;
+    q returns exact rationals."""
     ns = range(first, first + k + 1)
     D = {}
     for n in ns:
         x = (2 * n) ** k * q(n)
-        if abs(x - round(x)) > 1e-6:
-            raise AssertionError(f"(2n)^{k} q_n = {x!r} at n = {n} is not an integer")
-        D[n] = round(x)
+        if x.denominator != 1:
+            raise AssertionError(f"(2n)^{k} q_n = {x} at n = {n} is not an integer")
+        D[n] = x.numerator
     fit = FiniteN(k, _interpolate([0, *ns[:-1]], [0, *(D[n] for n in ns[:-1])]))
     check = ns[-1]
     if fit.D(check) != D[check]:
@@ -93,7 +95,8 @@ def exact_finite_n(q: Callable[[int], float], k: int, first: int = 1) -> FiniteN
 
 
 class ExactCovariances:
-    """Exact finite-n Cov(Tr T_m, Tr T_mu) from the moment oracle.
+    """Exact finite-n Cov(Tr T_m, Tr T_mu) from the moment oracle's
+    unrounded rationals.
 
     One power-covariance cache is shared per (class, entry law, n), so
     the Chebyshev pairs that need the same power pairs pay for them once.
@@ -103,9 +106,9 @@ class ExactCovariances:
         self._caches: dict = {}
 
     def cov(self, symmetry_class, model, m: int, mu: int) -> FiniteN:
-        def q(n: int) -> float:
+        def q(n: int) -> Fraction:
             cache = self._caches.setdefault((symmetry_class, model, n), {})
-            return cov_cheb_moment_oracle(symmetry_class, n, m, mu, model, cache=cache)
+            return _cheb_covariance(symmetry_class, n, m, mu, model, cache, 10**8)
 
         # an odd m + mu pairs an identically vanishing trace: D = 0 for any k;
         # DIII at n = 1 is the zero matrix, which the ensemble rejects

@@ -35,6 +35,7 @@ from symmwig import (
     symmetry_stats,
     theory_vector,
 )
+from symmwig.covariance import _exact_cell
 from symmwig.montecarlo import _zscore as zscore
 
 DIII = SymmetryClass.parse("DIII")
@@ -127,8 +128,10 @@ def test_criterion_4_formula_convergence(exact):
     # exactly when its polynomial D has degree below k
     ns = (2, 3, 4, 5)
     pairs = [(m, mu) for m in range(1, 5) for mu in range(m, 5)]
-    vn = {m: exact_finite_n(lambda n, m=m: V_n_exact(CI, n, m, RADEM), m)
-          for m in range(1, 5)}
+    vn = {
+        m: exact_finite_n(lambda n, m=m: _exact_cell(CI, n, m, RADEM, "equality", 10**8)[0], m)
+        for m in range(1, 5)
+    }
     gap = {}
     for m, mu in pairs:
         cov = exact.cov(CI, RADEM, m, mu)

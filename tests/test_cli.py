@@ -130,6 +130,18 @@ def test_config_type_error_reports_key(tmp_path, capsys):
     assert "n" in err and "integer" in err
 
 
+def test_config_bad_family_reports_lineno(tmp_path, capsys):
+    """A family is checked by the entry law's own rule where it is read."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("class = CI\nfamily = atoms:-1:0.5,1:0.4\n")
+    code, out, err = run(
+        capsys, "variance", "--config", str(cfg), "--m", "2", "--mode", "exact", "--n", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert f"{cfg}:2: family:" in err and "sum" in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "classes", "--config", str(tmp_path / "nope.cfg"),
                        "--class", "CI", "--n", "2")

@@ -7,7 +7,7 @@ from finite_n import FiniteN, exact_finite_n
 
 def test_recovers_polynomial_and_prints_it():
     # q_n = 16 + 16/n^2 - 16/n^3, i.e. D(n) = 256 n^4 + 256 n^2 - 256 n at k = 4
-    fit = exact_finite_n(lambda n: 16 + 16 / n**2 - 16 / n**3, 4)
+    fit = exact_finite_n(lambda n: 16 + Fraction(16, n**2) - Fraction(16, n**3), 4)
     assert fit.coeffs == (0, -256, 256, 0, 256)
     assert fit.degree == 4 and fit.limit == 16
     assert fit(64) == Fraction(16) + Fraction(16, 64**2) - Fraction(16, 64**3)
@@ -17,24 +17,24 @@ def test_recovers_polynomial_and_prints_it():
 
 def test_rejects_non_integer_values():
     with pytest.raises(AssertionError, match="not an integer"):
-        exact_finite_n(lambda n: 1 / (3 * n), 1)
+        exact_finite_n(lambda n: Fraction(1, 3 * n), 1)
 
 
 def test_rejects_higher_degree_at_check_point():
     # D(n) = n^3 is integer at every n but not of degree <= 2
     with pytest.raises(AssertionError, match="predicts"):
-        exact_finite_n(lambda n: n**3 / (2 * n) ** 2, 2)
+        exact_finite_n(lambda n: Fraction(n**3, (2 * n) ** 2), 2)
 
 
 def test_rejects_nonzero_constant_term():
     # D(n) = 2n * 8(n-1)/n = 16(n-1) has D(0) = -16
     with pytest.raises(AssertionError, match="predicts"):
-        exact_finite_n(lambda n: 8 * (n - 1) / n, 1, first=2)
+        exact_finite_n(lambda n: Fraction(8 * (n - 1), n), 1, first=2)
 
 
 def test_first_point_shifts_fit():
     # DIII V_n(2) = 8(n-1)/n, i.e. D(n) = 32 n^2 - 32 n, fitted from n = 2, 3
-    fit = exact_finite_n(lambda n: 8 * (n - 1) / n, 2, first=2)
+    fit = exact_finite_n(lambda n: Fraction(8 * (n - 1), n), 2, first=2)
     assert fit == FiniteN(2, (0, -32, 32))
     assert str(fit) == "8 - 8/n"
     with pytest.raises(ValueError):

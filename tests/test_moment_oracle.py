@@ -1,18 +1,22 @@
 """The moment oracle against pairwise references.
 
 ``_power_trace_monomials`` enumerates rotation classes of walks, and
-``_power_covariance`` sums cross terms by exponent histogram.  The
-references here do neither: one expands Tr X^k walk by walk, the other
-crosses every pair of monomials with equal odd-exponent signature and
-adds one float term per pair.
+``_power_covariance`` sums cross terms by exponent histogram into one
+exact rational, which the oracle rounds to float once.  The references
+here do neither: one expands Tr X^k walk by walk, the other crosses every
+pair of monomials with equal odd-exponent signature, adds one float term
+per pair, and applies the factor unit/(2n)^h exactly before rounding once.
 """
 import functools
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmwig.covariance import (
     BudgetError,
@@ -99,13 +103,13 @@ def pairwise_covariances(symmetry_class, n, k1, k2, models):
                 for mom, out in zip(moms, terms):
                     out.append(c1 * c2 * math.prod(mom[v] for v in merged.values()))
 
-    unit = (-1.0) ** ((k1 + k2) // 2) if symmetry_class is DIII else 1.0
-    norm = float(2 * n) ** (-(k1 + k2) // 2)
+    h = (k1 + k2) // 2
+    scale = Fraction((-1) ** h if symmetry_class is DIII else 1, (2 * n) ** h)
     covs = []
     for model, mom, cross in zip(models, moms, terms):
         exy = math.fsum(cross)
         ex, ey = expect(P1, model, mom), expect(P2, model, mom)
-        covs.append(unit * norm * (exy - ex * ey))
+        covs.append(float(scale * Fraction(exy - ex * ey)))
     return covs
 
 
@@ -131,7 +135,7 @@ def check_against_pairwise(cls, n, laws, powers):
     for k1, k2 in powers:
         wants = pairwise_covariances(cls, n, k1, k2, [model for _, model, _ in laws])
         for (name, model, bit_equal), cache, want in zip(laws, caches, wants):
-            got = _power_covariance(cls, n, k1, k2, model, BUDGET, cache)
+            got = float(_power_covariance(cls, n, k1, k2, model, BUDGET, cache))
             if bit_equal:
                 assert got == want, (name, k1, k2)
             else:
@@ -181,3 +185,33 @@ def test_shared_cache_rejects_another_cell_or_law():
         cov_cheb_moment_oracle(CI, 2, 2, 4, gauss)
     )
     assert cov_cheb_moment_oracle(CI, 2, 4, 4, radem) == 2.0
+
+
+# Var_n(Tr T_6) at sigma^2 = 1 for Gaussian entries, as coefficients of
+# 1/n^0 .. 1/n^5: the exact finite-n polynomials of the Wick expansion
+VAR_T6 = {
+    CI: (24, 72, 840, -108, -432, -72),
+    DIII: (24, -216, 3360, -16176, 28368, -15360),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma2=st.floats(min_value=0.05, max_value=20.0))
+def test_chebyshev_sum_rounds_once(sigma2):
+    """Var(Tr T_6) is sigma^12 times the pinned polynomial, rounded once."""
+    model = EntryModel.gaussian(sigma2)
+    for cls, n in itertools.product((DIII, CI), (2, 3)):
+        v = sum(Fraction(c, n**p) for p, c in enumerate(VAR_T6[cls]))
+        got = cov_cheb_moment_oracle(cls, n, 6, 6, model)
+        assert got == float(Fraction(sigma2) ** 6 * v), (cls, n)
+
+
+@pytest.mark.parametrize("cls,model,want", [
+    (CI, EntryModel.gaussian(), Fraction(3556, 27)),
+    (DIII, EntryModel.gaussian(), Fraction(1072, 81)),
+    (CI, EntryModel.rademacher(), Fraction(1976, 81)),
+])
+def test_var_t6_at_n3_is_the_float_of_its_rational(cls, model, want):
+    """The Chebyshev sum cancels power covariances of size about 10^4;
+    summed exactly, it still rounds to the nearest float."""
+    assert cov_cheb_moment_oracle(cls, 3, 6, 6, model) == float(want)
