@@ -32,7 +32,14 @@ from .covariance import (
     cov_cheb_moment_oracle,
     cov_traces_config_oracle,
 )
-from .ensemble import EntryModel, SymmetryClass, _to_float, build_equivalence_classes, sample_matrix
+from .ensemble import (
+    EntryModel,
+    ScaleMismatch,
+    SymmetryClass,
+    _to_float,
+    build_equivalence_classes,
+    sample_matrix,
+)
 from .montecarlo import (
     SimulationConfig,
     clt_report,
@@ -496,7 +503,8 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("n", _to_int, help="required for exact/oracle modes"),
         _SIGMA_OPT,
         _Opt("family", _to_family, default="gaussian"),
-        _Opt("budget", _to_int, help="enumeration budget override"),
+        _Opt("budget", _to_int, help="enumeration budget: Bell(m)*2^(m-1) shape walks "
+             "for exact mode (m >= 3), least-index walks for oracle mode"),
         _OUT_OPT,
     ]),
     "oracle": (_cmd_oracle, "exact covariance of two Chebyshev traces, by enumeration", [
@@ -569,6 +577,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OverflowError:
         print("error: the result overflows a float", file=sys.stderr)
+        return 1
+    except ScaleMismatch as exc:
+        # the command line sets the scale with --sigma
+        print(f"error: the atom law has scale {exc.scale:g}; --sigma {exc.sigma:g} differs",
+              file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

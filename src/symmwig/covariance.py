@@ -20,14 +20,15 @@ rounded once.
 
 The dihedral formula is one integer per cell: every shift has the sign
 sum S of shift(0) and every reflection eps^m S (eps = -1 in DIII, +1 in
-CI), and one enumeration pass with row one starting at index 0 gives S/2n.
-The start index does not matter because two index maps act transitively
-on the 2n indices: relabelling 1..n in both blocks at once, and swapping
-the blocks (p <-> p +- n).  Both send equivalence classes to classes of
-the same kind, up to one sign per class.  In a good multi-index
-every row-one occurrence of a class is matched by a row-two occurrence, so
-each class occurs an even number of times and those signs cancel, in both
-partition modes.
+CI), and one pass with row one starting at index 0 gives S/2n.  That pass
+runs over label shapes, not index walks, so its cost does not grow with n
+(see ``_good_sign_sums``).  The start index does not matter because two
+index maps act transitively on the 2n indices: relabelling 1..n in both
+blocks at once, and swapping the blocks (p <-> p +- n).  Both send
+equivalence classes to classes of the same kind, up to one sign per class.
+In a good multi-index every row-one occurrence of a class is matched by a
+row-two occurrence, so each class occurs an even number of times and those
+signs cancel, in both partition modes.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .ensemble import (
     BlockLayout,
     EntryModel,
     SymmetryClass,
+    _check_size,
     block_layout,
     class_tables,
 )
@@ -64,9 +66,34 @@ __all__ = [
 PARTITION_MODES = ("equality", "compatible")
 
 
-# -- vectorized good-set sign sums --------------------------------------------
+# -- good-set sign sums by label shapes ------------------------------------------
 
-_WALK_CHUNK = 1 << 13  # row-one walks per block; bounds the pass's memory
+_WALK_CHUNK = 1 << 13  # shape walks per block; bounds the pass's memory
+
+
+def _bell(m: int) -> int:
+    """The number of set partitions of m slots, by the Bell triangle."""
+    row = [1]
+    for _ in range(m - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _label_shapes(m: int) -> np.ndarray:
+    """Every restricted-growth string of length m, one row each, in
+    lexicographic order: row[0] = 0 and row[l] <= 1 + max(row[:l])."""
+    rows = np.zeros((1, 1), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
+        width = top + 2  # the next label is one of 0..top+1
+        parent = np.repeat(np.arange(len(rows)), width)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        rows = np.column_stack([rows[parent], label])
+        top = np.maximum(top[parent], label)
+    return rows
 
 
 def _member_tables(cls_id: np.ndarray, sign: np.ndarray):
@@ -98,23 +125,62 @@ def _good_sign_sums(
     with eps = -1 in DIII and +1 in CI, so this one integer is the whole
     dihedral cell.  The caller checks ``partition_mode``.
 
-    Row one's index walks are enumerated in bulk from the start index 0
-    only, and the sum is scaled by 2n (see the module docstring).  The
-    walks, their classes, the validity mask and the row-one sign products
-    are built once, in blocks of ``_WALK_CHUNK`` walks to bound memory.
-    The row-two chase starts from each of the (at most four) admissible
-    starting indices of the first slot's class.
+    Row one starts at the index 0 only, and the sum is scaled by 2n (see
+    the module docstring).  Its walks are not enumerated: each is one of
+    Bell(m) 2^(m-1) shape walks, relabelled.  Index p carries the label
+    p mod n and the block p // n.  A shape is the restricted-growth string
+    of the labels of p_0..p_{m-1} (labels numbered by first appearance, so
+    p_0 has label 0) together with the blocks of p_1..p_{m-1}; p_0 = 0
+    sits in the top block.  Each shape walk is evaluated once on
+    ``class_tables(symmetry_class, max(m, 2))``: its classes, the validity
+    mask and the row-one sign products are built in blocks of
+    ``_WALK_CHUNK`` walks to bound memory, and the row-two chase starts from
+    each of the (at most four) admissible starting indices of the first
+    slot's class.  With a_k the sum over the shapes with k distinct labels,
 
-    Proof.  Let rho_r(l) = l + r (mod m).  Rotating row one's walk by r,
-    p_l -> p_{l+r}, is a bijection on closed walks; it permutes the slots
-    cyclically, so it keeps each slot's class and sign, the validity mask,
-    the distinctness of the classes and the product of all signs.  Row-one
-    slot l + r shares its class with row-two slot g(l + r), so the rotated
-    pair is good for g o rho_r, and the rotation maps S^good(pi_g) onto
-    S^good(pi_{g o rho_r}) in both partition modes.  Since
-    shift(nu) o rho_r = shift(nu + r) and refl(nu) o rho_r = refl(nu + r),
-    the full sums agree along each kind, and by the start-index reduction
-    so do the sums with row one starting at 0.
+        S = 2n * sum_k (n-1)_(k-1) a_k,   (n-1)_(k-1) = perm(n-1, k-1),
+
+    at the cost of Bell(m) 2^(m-1) walks at any n; the budget counts them.
+
+    Proof of the shape sum.  The walks of row one from index 0 with a given
+    shape are its images under the injective relabellings tau of the k
+    shape labels into 0..n-1 with tau(0) = 0, one walk per tau, so the
+    shape stands for (n-1)_(k-1) walks.  A relabelling, applied to both
+    rows and to both blocks at once, sends the class of the entry at
+    labels (r, s) to the class at (tau r, tau s) of the same kind and the
+    same block pattern, and every member of a class carries the class's
+    two labels.  So it keeps the forced zeros, the distinctness of the
+    classes, which row-two slots share a class with which row-one slots,
+    and the row-two chase, which only visits the labels of row one: it
+    maps the good set of the shape walk on the tables of max(m, 2) labels
+    one-to-one onto the good set of its image, in both partition modes.
+    It multiplies the signs of each class's members by one common sign (in
+    DIII, -1 where tau reverses the order of the class's two labels), and
+    each class occurs an even number of times in a good multi-index (see
+    the module docstring), so every sign product is kept.
+
+    Proof that odd degrees vanish.  Swap the blocks of row one alone,
+    p -> p +- n.  The block form [[X1, X2], [X2, -X1]] keeps every entry's
+    class and multiplies its sign by -1 inside a block (X1 and -X1) and by
+    +1 across the blocks (X2).  A closed walk crosses between the blocks an
+    even number of times, so an odd number of its m slots stays inside a
+    block when m is odd: the swap multiplies row one's sign product by
+    (-1)^m.  Row two is chased from the classes alone, so the swap maps
+    the good pairs with row one from 0 one-to-one onto those with row one
+    from n, and their sums are equal by the start-index reduction.  Hence
+    S = (-1)^m S, and S = 0 at odd m, with no branch for it.
+
+    Proof of the dihedral reduction.  Let rho_r(l) = l + r (mod m).
+    Rotating row one's walk by r, p_l -> p_{l+r}, is a bijection on closed
+    walks; it permutes the slots cyclically, so it keeps each slot's class
+    and sign, the validity mask, the distinctness of the classes and the
+    product of all signs.  Row-one slot l + r shares its class with
+    row-two slot g(l + r), so the rotated pair is good for g o rho_r, and
+    the rotation maps S^good(pi_g) onto S^good(pi_{g o rho_r}) in both
+    partition modes.  Since shift(nu) o rho_r = shift(nu + r) and
+    refl(nu) o rho_r = refl(nu + r), the full sums agree along each kind,
+    and by the start-index reduction so do the sums with row one starting
+    at 0.
 
     Every class holds the transpose (q, p) of each member (p, q), with the
     member's sign times eps: X_qp = conj X_pq, and the DIII entries are
@@ -127,22 +193,29 @@ def _good_sign_sums(
     Hence every reflection sum is eps^m times the shift sum, and in DIII at
     odd m the two kinds cancel in the total.
     """
-    dim = 2 * n
-    n_walks = dim ** (m - 1)
+    _check_size(symmetry_class, n)
+    n_walks = _bell(m) << (m - 1)
     if n_walks > budget:
-        raise BudgetError(f"{dim}^{m - 1} row-one walks exceed budget {budget}")
-    cls_id, sign = class_tables(symmetry_class, n)
+        raise BudgetError(f"{n_walks} shape walks exceed budget {budget}")
+    shapes = _label_shapes(m)
+    n_labels = shapes.max(axis=1) + 1  # k, the distinct labels of each shape
+    width = max(m, 2)  # labels of the tables; a shape has at most m
+    cls_id, sign = class_tables(symmetry_class, width)
+    dim = 2 * width
     q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
     q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
-    total = 0  # row-two slot j carries row-one slot j's class
+    # a[k]: the sum over shapes with k labels; row-two slot j carries
+    # row-one slot j's class
+    a = np.zeros(m + 1, dtype=np.int64)
     for lo in range(0, n_walks, _WALK_CHUNK):
-        rem = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
-        cols = [np.zeros(len(rem), dtype=np.int32)]
-        for _ in range(m - 1):
-            cols.append((rem % dim).astype(np.int32))
-            rem //= dim
+        t = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
+        shape = t >> (m - 1)
+        # p_l = label + width * block; bit l - 1 of t is the block of p_l
+        cols = [np.zeros(len(t), dtype=np.int64)]
+        for l in range(1, m):
+            cols.append(shapes[shape, l] + width * ((t >> (l - 1)) & 1))
         c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
-        valid = np.ones(len(rem), dtype=bool)
+        valid = np.ones(len(t), dtype=bool)
         for l in range(m):
             valid &= c[l] >= 0
         if partition_mode == "equality":
@@ -168,8 +241,9 @@ def _good_sign_sums(
             v = q_by_p[flat]
             live = v >= 0
             walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
-        total += int(np.sum(s2[v == v0]))  # cyclic closure of row two
-    return dim * total
+        closed = v == v0  # cyclic closure of row two
+        np.add.at(a, n_labels[shape[w[walk[closed]]]], s2[closed])
+    return 2 * n * sum(math.perm(n - 1, k - 1) * int(a[k]) for k in range(1, m + 1))
 
 
 # -- exact finite-size variance ------------------------------------------------
@@ -854,7 +928,7 @@ def cov_report(
 ) -> CovReport:
     """Exact value, limit, gap, and (for m >= 3) the per-element split.
 
-    For m >= 3 one enumeration pass gives the shift sum S; the 2m rows
+    For m >= 3 one pass over label shapes gives the shift sum S; the 2m rows
     carry S for every shift and eps^m S for every reflection, each valued
     as one rational rounded once, and v_n is the value of their total, as
     in ``V_n_exact``.  The limit is ``V_asymptotic`` of the same entry law.

@@ -24,6 +24,7 @@ __all__ = [
     "IndexPair",
     "EquivClass",
     "EntryModel",
+    "ScaleMismatch",
     "MatrixSample",
     "BlockLayout",
     "block_layout",
@@ -100,6 +101,14 @@ def _members_c2(n: int, a: int, b: int) -> tuple[IndexPair, ...]:
     return ((n + a, b), (n + b, a), (a, n + b), (b, n + a))
 
 
+def _check_size(symmetry_class: SymmetryClass, n: int) -> None:
+    """Raise ValueError unless the 2n x 2n space of the class is nonzero."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if symmetry_class is SymmetryClass.DIII and n < 2:
+        raise ValueError("degenerate space: DIII with n=1 is identically zero")
+
+
 def build_equivalence_classes(
     symmetry_class: SymmetryClass, n: int
 ) -> tuple[EquivClass, ...]:
@@ -109,10 +118,7 @@ def build_equivalence_classes(
     the diagonal classes C1(a,a) and C2(a,a).  DIII has n(n-1) classes
     of size 4; CI has n(n-1) + 2n classes.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if symmetry_class is SymmetryClass.DIII and n < 2:
-        raise ValueError("degenerate space: DIII with n=1 is identically zero")
+    _check_size(symmetry_class, n)
     classes: list[EquivClass] = []
     for kind, maker in (("C1", _members_c1), ("C2", _members_c2)):
         for a in range(1, n + 1):
@@ -199,6 +205,14 @@ def _to_float(raw: str) -> float:
         raise ValueError(f"expected a number, got {raw!r}")
 
 
+class ScaleMismatch(ValueError):
+    """A scale ``sigma`` given to an atom law whose own scale differs."""
+
+    def __init__(self, scale: float, sigma: float) -> None:
+        super().__init__(f"the atom law has scale {scale:g}; sigma {sigma:g} differs")
+        self.scale, self.sigma = scale, sigma
+
+
 @dataclass(frozen=True)
 class EntryModel:
     """Law of one representative entry: real, centered, E g^2 = sigma2.
@@ -259,9 +273,7 @@ class EntryModel:
             atoms.append((_to_float(v), _to_float(p)))
         model = cls.from_atoms(atoms)
         if sigma is not None and not math.isclose(sigma, model.sigma, rel_tol=1e-9):
-            raise ValueError(
-                f"the atom law has scale {model.sigma:g}; --sigma {sigma:g} differs"
-            )
+            raise ScaleMismatch(model.sigma, sigma)
         return model
 
     @classmethod

@@ -4,8 +4,9 @@ A multi-index is two cyclic walks of index pairs; it is good for a
 dihedral element g when its induced partition of the row slots (slots
 sharing an entry class) is the pairing pi_g.  These definitions enumerate
 one multi-index at a time.  ``symmwig.covariance._good_sign_sums``
-computes the same good sets with vectorized bookkeeping, and the tests
-check it against them.
+computes the same good sets over label shapes, and the tests check it
+against them and against ``walk_sign_sums``, which enumerates every
+row-one index walk.
 """
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
-from symmwig.covariance import PARTITION_MODES
-from symmwig.ensemble import IndexPair, SymmetryClass, class_of
+import numpy as np
+
+from symmwig.covariance import PARTITION_MODES, _member_tables
+from symmwig.ensemble import IndexPair, SymmetryClass, class_of, class_tables
 from symmwig.patterns import BudgetError, DihedralElement
 
 
@@ -130,3 +133,60 @@ def good_multiindices(
         elif ind.refines_into(target):
             out.append(P)
     return out
+
+
+def walk_sign_sums(
+    symmetry_class: SymmetryClass,
+    n: int,
+    m: int,
+    partition_mode: str,
+    budget: int = 10**8,
+) -> int:
+    """``_good_sign_sums`` by enumerating all (2n)^(m-1) row-one walks from
+    the index 0 on ``class_tables(symmetry_class, n)``, in blocks of 2^13
+    walks, and scaling by 2n: the same validity mask, sign product and
+    row-two chase, over index walks instead of label shapes."""
+    chunk = 1 << 13
+    dim = 2 * n
+    n_walks = dim ** (m - 1)
+    if n_walks > budget:
+        raise BudgetError(f"{dim}^{m - 1} row-one walks exceed budget {budget}")
+    cls_id, sign = class_tables(symmetry_class, n)
+    q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
+    q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
+    total = 0  # row-two slot j carries row-one slot j's class
+    for lo in range(0, n_walks, chunk):
+        rem = np.arange(lo, min(lo + chunk, n_walks))
+        cols = [np.zeros(len(rem), dtype=np.int32)]
+        for _ in range(m - 1):
+            cols.append((rem % dim).astype(np.int32))
+            rem //= dim
+        c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
+        valid = np.ones(len(rem), dtype=bool)
+        for l in range(m):
+            valid &= c[l] >= 0
+        if partition_mode == "equality":
+            for l in range(m):
+                for l2 in range(l + 1, m):
+                    valid &= c[l] != c[l2]
+        w = np.nonzero(valid)[0]
+        cw = [arr[w] for arr in c]
+        d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
+        s1 = np.ones(len(w), dtype=np.int64)
+        for l in range(m):
+            s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
+        # row two starts at any member of its first class; each start
+        # fixes the rest of the row, and only live walks are carried
+        starts = member_p[cw[0]]
+        walk, k = np.nonzero(starts >= 0)
+        v0 = starts[walk, k]
+        flat = d[0][walk] + v0
+        s2 = s1[walk] * s_by_p[flat]
+        v = q_by_p[flat]
+        for j in range(1, m):
+            flat = d[j][walk] + v
+            v = q_by_p[flat]
+            live = v >= 0
+            walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
+        total += int(np.sum(s2[v == v0]))  # cyclic closure of row two
+    return dim * total

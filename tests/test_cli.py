@@ -5,6 +5,8 @@ import json
 import pytest
 
 from symmwig.cli import _SUBCOMMANDS, dispatch, load_config
+from symmwig.covariance import V_n_exact
+from symmwig.ensemble import EntryModel, SymmetryClass
 
 
 def run(capsys, *argv):
@@ -86,6 +88,23 @@ def test_budget_error_exits_2(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("cls", ("CI", "DIII"))
+def test_exact_variance_at_desk_size(capsys, cls):
+    """m = 6 at n = 64 is one pass over 6496 shape walks."""
+    code, out, err = run(capsys, "variance", "--class", cls, "--m", "6",
+                         "--mode", "exact", "--n", "64")
+    assert (code, err) == (0, "")
+    model = EntryModel.gaussian()
+    assert rows_of(out)[1][3] == "%.12g" % V_n_exact(SymmetryClass[cls], 64, 6, model)
+
+
+def test_exact_budget_counts_shape_walks(capsys):
+    code, out, err = run(capsys, "variance", "--class", "CI", "--m", "4",
+                         "--mode", "exact", "--n", "64", "--budget", "119")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: 120 shape walks exceed budget 119"]
 
 
 def test_help_exits_0(capsys):

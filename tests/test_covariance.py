@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +15,15 @@ from multiindex import (
     enumerate_consistent_multiindices,
     good_multiindices,
     induced_partition,
+    walk_sign_sums,
 )
 from symmwig.covariance import (
     BudgetError,
     V_asymptotic,
     V_n_exact,
+    _bell,
     _good_sign_sums,
+    _label_shapes,
     _member_tables,
     cov_cheb_moment_oracle,
     cov_report,
@@ -239,6 +244,91 @@ def test_good_sign_sums_frozen(cls, mode, n, m, want):
     assert [t.sign_sum for t in cov_report(cls, n, m, GAUSS, mode).per_g] == [want] * (2 * m)
 
 
+BELL = (1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_label_shapes_are_the_restricted_growth_strings(m):
+    """Bell(m) rows, p_0's label first, each label at most one above the
+    largest before it, in lexicographic order; up to m = 6 they are
+    exactly the restricted-growth strings among all m^m label strings."""
+    shapes = _label_shapes(m)
+    assert _bell(m) == len(shapes) == BELL[m - 1]
+    assert shapes.shape == (BELL[m - 1], m)
+    assert np.all(shapes[:, 0] == 0)
+    prefix_max = np.maximum.accumulate(shapes, axis=1)
+    assert np.all(shapes[:, 1:] <= prefix_max[:, :-1] + 1)
+    # base-m codes rise strictly: the rows are distinct and in lexicographic order
+    assert np.all(np.diff(shapes @ m ** np.arange(m - 1, -1, -1)) > 0)
+    if m <= 6:
+        every = [
+            s for s in itertools.product(range(m), repeat=m)
+            if all(s[l] <= max(s[:l], default=-1) + 1 for l in range(m))
+        ]
+        assert [tuple(r) for r in shapes.tolist()] == every
+
+
+def test_shape_sums_equal_walk_sums():
+    """The shape pass gives the walk enumeration's integer on every cell of
+    both classes and both modes with m <= 6, n <= 10 and at most 2 10^5
+    row-one walks."""
+    cells = 0
+    for cls, mode, m, n in itertools.product(
+        (DIII, CI), ("equality", "compatible"), range(1, 7), range(1, 11)
+    ):
+        if (cls, n) == (DIII, 1) or (2 * n) ** (m - 1) > 2 * 10**5:
+            continue
+        assert _good_sign_sums(cls, n, m, mode, 10**8) == walk_sign_sums(cls, n, m, mode)
+        cells += 1
+    assert cells == 208
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("mode", ("equality", "compatible"))
+@pytest.mark.parametrize("m", (3, 5, 7))
+@pytest.mark.parametrize("n", (2, 9, 64))
+def test_odd_degree_sign_sums_vanish(cls, mode, m, n):
+    """Swapping the blocks of row one alone multiplies its sign product by
+    (-1)^m and keeps every class, so S = -S at odd m."""
+    assert _good_sign_sums(cls, n, m, mode, 10**8) == 0
+
+
+@pytest.mark.parametrize("cls,want", ((CI, 8376847847424), (DIII, 7621096218624)))
+def test_shift_sum_at_n64_m6(cls, want):
+    """m = 6 at the desk size n = 64: CI agrees with the polynomial
+    interpolated from n = 2..8 of the walk enumeration."""
+    assert _good_sign_sums(cls, 64, 6, "equality", 10**8) == want
+
+
+def test_n64_m6_costs_under_a_second():
+    """Both classes and both modes at n = 64, m = 6 take 4 * 6496 shape
+    walks, well under one second together."""
+    start = time.perf_counter()
+    for cls, mode in itertools.product((DIII, CI), ("equality", "compatible")):
+        V_n_exact(cls, 64, 6, GAUSS, mode)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_m8_at_n64_memory_is_bounded():
+    """529 920 shape walks at m = 8 run in blocks of 2^13, so the pass's
+    traced allocations stay under 16 MiB at n = 64."""
+    tracemalloc.start()
+    try:
+        S = _good_sign_sums(CI, 64, 8, "equality", 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S > 0
+    assert peak < 16 * 2**20
+
+
+def test_size_is_validated():
+    with pytest.raises(ValueError, match="degenerate"):
+        _good_sign_sums(DIII, 1, 4, "equality", 10**8)
+    with pytest.raises(ValueError, match="n must be positive"):
+        V_n_exact(CI, 0, 4, GAUSS)
+
+
 @pytest.mark.parametrize(
     "cls,n", [(cls, n) for cls in (DIII, CI) for n in range(1, 7) if (cls, n) != (DIII, 1)]
 )
@@ -319,11 +409,14 @@ def test_v_n_budget():
 
 
 def test_v_n_budget_counts_row_one_walks():
-    """One pass enumerates (2n)^(m-1) row-one walks, and the budget
-    counts exactly those."""
-    assert V_n_exact(DIII, 3, 4, GAUSS, budget=6**3) == V_n_exact(DIII, 3, 4, GAUSS)
-    with pytest.raises(BudgetError, match=r"6\^3 row-one walks exceed budget 215"):
-        V_n_exact(DIII, 3, 4, GAUSS, budget=6**3 - 1)
+    """One pass evaluates Bell(m) 2^(m-1) row-one shape walks at any n, and
+    the budget counts exactly those."""
+    for m, n in itertools.product((3, 4, 5, 6), (3, 64)):
+        walks = BELL[m - 1] * 2 ** (m - 1)
+        assert V_n_exact(DIII, n, m, GAUSS, budget=walks) == V_n_exact(DIII, n, m, GAUSS)
+        with pytest.raises(BudgetError, match=rf"^{walks} shape walks exceed budget {walks - 1}$"):
+            V_n_exact(DIII, n, m, GAUSS, budget=walks - 1)
+    assert [BELL[m - 1] * 2 ** (m - 1) for m in (4, 5, 6, 8)] == [120, 832, 6496, 529920]
 
 
 def test_partition_mode_validated():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from symmwig.ensemble import (
     EntryModel,
+    ScaleMismatch,
     SymmetryClass,
     block_layout,
     build_equivalence_classes,
@@ -268,6 +269,16 @@ def test_entry_model_parse():
 def test_entry_model_parse_rejects(family, sigma, message):
     with pytest.raises(ValueError, match=message):
         EntryModel.parse(family, sigma)
+
+
+def test_entry_model_scale_error_names_no_flag():
+    """The API names the scale by its parameter; only the command line
+    speaks of --sigma."""
+    with pytest.raises(ScaleMismatch) as info:
+        EntryModel.parse("atoms:-1:0.5,1:0.5", 2.0)
+    assert str(info.value) == "the atom law has scale 1; sigma 2 differs"
+    assert "--" not in str(info.value)
+    assert (info.value.scale, info.value.sigma) == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
