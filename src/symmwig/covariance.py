@@ -16,7 +16,12 @@ of the high digits.  The moment oracle expands each power trace over
 rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms; its Chebyshev sum stays rational and is
-rounded once.
+rounded once.  Relabelling 1..n in both blocks at once and exchanging X1
+and X2 permute the classes, up to one sign per class, and keep every
+trace, so the oracle crosses one monomial of the first trace per orbit of
+that group, weighted by the orbit size, against every monomial of the
+second (see ``_power_covariance``): the same rational from up to 2 n!
+times fewer pairs.
 
 The dihedral formula is one integer per cell: every shift has the sign
 sum S of shift(0) and every reflection eps^m S (eps = -1 in DIII, +1 in
@@ -388,6 +393,32 @@ def _config_weights(
         yield w_low * probs[row].prod()
 
 
+def _class_map(
+    cls_id: np.ndarray, sign: np.ndarray, src_p, src_q, t
+) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, s) of the map X -> Y, Y[p, q] = t[p, q] * X[src_p[p, q], src_q[p, q]].
+
+    Class c of Y is class perm[c] of X times s_c: each member of c reads a
+    member of one class perm[c], with one sign s_c, and a zero entry reads
+    a zero entry.  Asserts that, and that perm permutes the classes.
+    """
+    src_p, src_q, t = np.broadcast_arrays(src_p, src_q, t)
+    live = cls_id >= 0
+    src_cls = cls_id[src_p, src_q]
+    assert np.array_equal(src_cls >= 0, live), "the map leaves the space"
+    nc = int(cls_id.max()) + 1
+    c, image = cls_id[live], src_cls[live]
+    s_live = (t * sign * sign[src_p, src_q])[live]
+    perm = np.zeros(nc, dtype=np.intp)
+    s = np.zeros(nc, dtype=np.int8)
+    perm[c], s[c] = image, s_live
+    assert np.array_equal(perm[c], image) and np.array_equal(s[c], s_live), (
+        "members of a class disagree"
+    )
+    assert np.array_equal(np.sort(perm), np.arange(nc)), "classes are not permuted"
+    return perm, s
+
+
 def _class_flips(symmetry_class: SymmetryClass, n: int) -> np.ndarray:
     """GF(2) rows of the sign maps: which classes each generator negates.
 
@@ -397,22 +428,19 @@ def _class_flips(symmetry_class: SymmetryClass, n: int) -> np.ndarray:
     d_j = -1 (j = 2..n) and for eps = -1.  D X D multiplies the entry at
     (p, q) by D_p D_q, and every member of a class must agree on it.
     """
-    cls_id, _ = class_tables(symmetry_class, n)
+    cls_id, sign = class_tables(symmetry_class, n)
     nc = int(cls_id.max()) + 1
-    live = cls_id >= 0
+    idx = np.arange(2 * n)
     diagonals = []
     for j in range(1, n):
-        d = np.ones(2 * n)
-        d[[j, n + j]] = -1.0
+        d = np.ones(2 * n, dtype=np.int8)
+        d[[j, n + j]] = -1
         diagonals.append(d)
-    diagonals.append(np.repeat([1.0, -1.0], n))
+    diagonals.append(np.repeat(np.array([1, -1], dtype=np.int8), n))
     rows = [np.ones(nc + 1, dtype=bool)]
     for d in diagonals:
-        flip = (np.outer(d, d) < 0)[live]
-        row = np.zeros(nc + 1, dtype=bool)
-        row[cls_id[live]] = flip
-        assert np.array_equal(row[cls_id[live]], flip), "members of a class disagree"
-        rows.append(row)
+        _, s = _class_map(cls_id, sign, idx[:, None], idx[None, :], np.outer(d, d))
+        rows.append(np.append(s < 0, False))
     return np.array(rows)
 
 
@@ -686,6 +714,108 @@ def _power_expansion(
     return cache[key]
 
 
+def _relabellings(
+    symmetry_class: SymmetryClass, n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(perm, s) per generator of the relabelling group, from ``_class_map``.
+
+    The generators are X -> P X P^T for the n - 1 adjacent transpositions
+    P = diag(pi, pi), and the X1 <-> X2 exchange X -> H X H with
+    H = [[I, I], [I, -I]] / sqrt(2), which sends [[X1, X2], [X2, -X1]] to
+    [[X2, X1], [X1, -X2]].  Both are orthogonal conjugations, so they keep
+    every trace; they generate a group of order 2 n!.
+    """
+    cls_id, sign = class_tables(symmetry_class, n)
+    idx = np.arange(2 * n)
+    maps = []
+    for j in range(n - 1):
+        pi = idx.copy()
+        pi[[j, j + 1, n + j, n + j + 1]] = pi[[j + 1, j, n + j + 1, n + j]]
+        maps.append(_class_map(cls_id, sign, pi[:, None], pi[None, :], 1))
+    bottom = idx >= n
+    same_block = bottom[:, None] == bottom[None, :]
+    maps.append(_class_map(
+        cls_id, sign, idx[:, None] % n, idx[None, :] % n + n * same_block,
+        np.where(bottom[:, None] & bottom[None, :], -1, 1),
+    ))
+    return maps
+
+
+def _monomial_images(
+    P: tuple[np.ndarray, np.ndarray], k: int, maps: list[tuple[np.ndarray, np.ndarray]]
+) -> list[np.ndarray]:
+    """Row of the image of every monomial of P, one array per map.
+
+    Class variables g'_c = s_c g_{perm[c]} send the monomial with exponents
+    e to the monomial with exponent e_c at class perm[c] and coefficient
+    prod_c s_c^e_c times its own.  Asserts that the image is a row of P
+    with exactly that coefficient.  The rows of P are in ascending order of
+    their sorted class-id tuples, coded in base n_classes as in
+    ``_power_trace_monomials``, so each image is found by bisection.
+    """
+    exps, coefs = P
+    rows, nc = exps.shape
+    ids = np.repeat(np.tile(np.arange(nc, dtype=np.int32), rows), exps.ravel())
+    ids = ids.reshape(rows, k)
+
+    def encode(ids: np.ndarray) -> np.ndarray:
+        code = np.zeros(rows, dtype=np.int64)
+        for col in ids.T:
+            code = code * nc + col
+        return code
+
+    code = encode(ids)
+    images = []
+    for perm, s in maps:
+        image = encode(np.sort(perm.astype(np.int32)[ids], axis=1))
+        at = np.minimum(np.searchsorted(code, image), rows - 1)
+        assert np.array_equal(code[at], image), "an image is not a monomial of the trace"
+        odd = exps[:, s < 0].sum(axis=1) % 2 == 1
+        assert np.array_equal(coefs[at], np.where(odd, -coefs, coefs)), (
+            "an image has another coefficient"
+        )
+        images.append(at)
+    return images
+
+
+def _orbits(
+    P: tuple[np.ndarray, np.ndarray], k: int, maps: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """First row and size of every orbit of the group that ``maps``
+    generate on the monomials of P, in row order.
+
+    Every row takes the least label among its own and its images' until no
+    label moves; a row's label is itself a row of the orbit, so the label
+    of the label is taken as well.
+    """
+    images = _monomial_images(P, k, maps)
+    label = np.arange(len(P[1]))
+    while True:
+        least = np.minimum.reduce([label, *(label[at] for at in images)])
+        if np.array_equal(least, label):
+            return np.unique(label, return_counts=True)
+        label = least[least]
+
+
+def _orbit_representatives(
+    cache: dict, symmetry_class: SymmetryClass, n: int, k: int, prune: bool, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(X_raw^k) with one monomial per orbit of the relabelling group, its
+    coefficient times the orbit size, kept in ``cache`` under
+    ("orbits", k, prune).  Without ``prune`` the group is generated by the
+    sign-free maps alone (every s_c = +1).
+    """
+    key = ("orbits", k, prune)
+    if key not in cache:
+        P = _power_expansion(cache, symmetry_class, n, k, budget)
+        maps = _relabellings(symmetry_class, n)
+        if not prune:
+            maps = [(perm, s) for perm, s in maps if np.all(s == 1)]
+        reps, size = _orbits(P, k, maps)
+        cache[key] = (P[0][reps], P[1][reps] * size)
+    return cache[key]
+
+
 def _histogram_places(K: int, n_classes: int) -> np.ndarray:
     """place[v]: the weight of exponent v in the code of an exponent histogram.
 
@@ -783,7 +913,9 @@ def _cross_histograms(
 
     # blocks small enough that no int64 sum of c1 * c2 in one block overflows
     bound = int(np.abs(c1).max()) * int(np.abs(c2).max())
-    block = max(1, min(_PAIR_BLOCK, (2**63 - 1) // bound))
+    if bound >= 2**63:
+        raise BudgetError(f"coefficient products up to {bound} exceed int64")
+    block = min(_PAIR_BLOCK, (2**63 - 1) // bound)
     for lo in range(0, int(offset[-1]), block):
         t = np.arange(lo, min(lo + block, int(offset[-1])))
         g = np.searchsorted(offset, t, side="right") - 1
@@ -808,13 +940,29 @@ def _power_covariance(
     cache: dict,
 ) -> Fraction:
     """``cov_traces_moment_oracle`` for k1, k2 >= 1 as an exact rational,
-    taking the power-trace expansions from ``cache`` and storing the ones
-    it builds there.
+    taking the power-trace expansions and the orbit representatives from
+    ``cache`` and storing the ones it builds there.
 
     A product of class moments depends only on the histogram of the
     exponents (how many classes carry each exponent), so the integer
     coefficients of E[XY], E[X] and E[Y] are summed exactly per histogram
     and each expectation is one exact sum over a few dozen histograms.
+
+    E[XY] is the sum over monomial pairs of T_ij = c1_i c2_j mu(e1_i + e2_j).
+    It is summed over the orbit representatives i of X = Tr X_raw^k1
+    alone, each with coefficient c1_i * |orbit|, against every monomial j
+    of Y.  This is exact.  A map g of the relabelling group
+    (``_relabellings``) sends monomial i of either trace to a monomial g.i
+    with coefficient prod_c s_c^e_c times c_i, because it conjugates by an
+    orthogonal matrix and so keeps the trace.  It permutes classes, so it
+    keeps exponent histograms, moments and odd-exponent signatures, and
+    T_(g.i)(g.j) = prod_c s_c^(e1_i + e2_j)_c T_ij.  With vanishing odd
+    moments the pairs that are formed have equal signatures, so every
+    merged exponent is even and the sign is +1 for every map; for a law
+    with odd moments only the sign-free maps are used.  Either way each
+    term is invariant, and j -> g.j permutes the monomials of Y, so
+    sum_j T_(g.i)j = sum_j T_ij: every row of an orbit contributes what its
+    representative does.
     """
     if (k1 + k2) % 2 == 1:
         # one trace is an odd polynomial of an ensemble symmetric under
@@ -831,7 +979,8 @@ def _power_covariance(
         return _histogram_value(acc, place, mom)
 
     prune = model.odd_moments_vanish(k1 + k2)
-    exy = _histogram_value(_cross_histograms(P1, P2, prune, place), place, mom)
+    R1 = _orbit_representatives(cache, symmetry_class, n, k1, prune, budget)
+    exy = _histogram_value(_cross_histograms(R1, P2, prune, place), place, mom)
     ex, ey = expect(P1), expect(P2)
     h = (k1 + k2) // 2
     return Fraction(symmetry_class.pair_unit**h, (2 * n) ** h) * (exy - ex * ey)
@@ -851,7 +1000,8 @@ def cov_cheb_moment_oracle(
     rational of ``_cheb_covariance``, rounded to float once.
 
     ``cache`` keeps the exact power covariances, keyed (j, k) with j <= k,
-    and the power-trace expansions, keyed ("trace", k).  Its first use
+    the power-trace expansions, keyed ("trace", k), and their orbit
+    representatives, keyed ("orbits", k, prune).  Its first use
     records the class, n and entry model under "law", and a call with any
     other raises ValueError.
     """

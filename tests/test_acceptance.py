@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
-from finite_n import ExactCovariances, exact_finite_n
+from finite_n import exact_finite_n
 from symmwig import (
     EntryModel,
     SimulationConfig,
@@ -55,11 +55,6 @@ def desk_diii():
 @pytest.fixture(scope="session")
 def desk_ci():
     return run_simulation(SimulationConfig("CI", **DESK))
-
-
-@pytest.fixture(scope="session")
-def exact():
-    return ExactCovariances()
 
 
 def verdict(k: int, ok: bool, details: str) -> None:
@@ -225,10 +220,11 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
     lines = []
 
     # the equality itself is a limit statement, checked exactly
-    var4 = {cls: exact.cov(cls, GAUSS, 4, 4) for cls in desk}
-    lead_ok = var4[CI].limit == var4[DIII].limit
-    lines.append(f"Var_n(T4): CI {var4[CI]}, DIII {var4[DIII]}, common limit "
-                 f"{var4[CI].limit}" + ("" if lead_ok else " DIFFERS"))
+    var = {(cls, m): exact.cov(cls, GAUSS, m, m) for cls in desk for m in (4, 6)}
+    lead_bad = [m for m in (4, 6) if var[CI, m].limit != var[DIII, m].limit]
+    lines.extend(f"Var_n(T{m}): CI {var[CI, m]}, DIII {var[DIII, m]}, common limit "
+                 f"{var[CI, m].limit}" + (" DIFFERS" if m in lead_bad else "")
+                 for m in (4, 6))
     per_g_bad = [
         (cls.value, m) for cls in desk for m in range(3, 7)
         if sum(per_g_leading_term(cls, g) for g in dihedral_group(m)) / 2**m
@@ -237,14 +233,15 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
     lines.append("sum_g per_g_leading_term / 2^m = V_asymptotic for m = 3..6, "
                  "both classes" + (f"; FAILS at {per_g_bad}" if per_g_bad else ""))
 
-    # m = 4 at the desk size, against the exact finite-n values
-    def se4(e):
-        return float(e.cov_se[3, 3])
+    # m = 4 and m = 6 at the desk size, against the exact finite-n values
+    def se_of(e, m):
+        return float(e.cov_se[m - 1, m - 1])
 
-    checks = [(f"{cls.value} Var(T4)", float(e.cov[3, 3]), se4(e), var4[cls])
-              for cls, e in desk.items()]
-    checks.append(("CI - DIII", float(desk[CI].cov[3, 3] - desk[DIII].cov[3, 3]),
-                   math.hypot(se4(desk[CI]), se4(desk[DIII])), var4[CI] - var4[DIII]))
+    checks = [(f"{cls.value} Var(T{m})", float(e.cov[m - 1, m - 1]), se_of(e, m), var[cls, m])
+              for m in (4, 6) for cls, e in desk.items()]
+    checks.append(("CI - DIII Var(T4)", float(desk[CI].cov[3, 3] - desk[DIII].cov[3, 3]),
+                   math.hypot(se_of(desk[CI], 4), se_of(desk[DIII], 4)),
+                   var[CI, 4] - var[DIII, 4]))
     sample_ok = True
     for name, value, se, target in checks:
         z = zscore(value, float(target(n)), se)
@@ -265,11 +262,9 @@ def test_criterion_6_class_equality(desk_diii, desk_ci, exact):
         "m = 6 inside clt_report's even-degree band: "
         + ", ".join(f"{cls.value} {row.var_est:.3f} +- {row.var_se:.3f} vs {row.theory:g} "
                     f"(z against the limit {row.z:.2f})" + ("" if row.passed else " OUTSIDE")
-                    for cls, row in band.items())
-        + " (the 3-SE test against an exact Var_n(T6) waits on ROADMAP item 2: "
-          "its polynomial needs the moment oracle up to n = 7)")
+                    for cls, row in band.items()))
 
-    verdict(6, lead_ok and not per_g_bad and sample_ok and odd_ok and band_ok,
+    verdict(6, not lead_bad and not per_g_bad and sample_ok and odd_ok and band_ok,
             "; ".join(lines))
 
 

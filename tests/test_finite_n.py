@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from finite_n import FiniteN, exact_finite_n
+from symmwig import EntryModel, SymmetryClass
 
 
 def test_recovers_polynomial_and_prints_it():
@@ -39,3 +40,15 @@ def test_first_point_shifts_fit():
     assert str(fit) == "8 - 8/n"
     with pytest.raises(ValueError):
         fit - FiniteN(1, (0, 0))
+
+
+@pytest.mark.parametrize("cls,want", [
+    (SymmetryClass.CI, "24 + 72/n + 840/n^2 - 108/n^3 - 432/n^4 - 72/n^5"),
+    (SymmetryClass.DIII, "24 - 216/n + 3360/n^2 - 16176/n^3 + 28368/n^4 - 15360/n^5"),
+])
+def test_var_t6_polynomial(exact, cls, want):
+    """Var_n(Tr T_6) for Gaussian entries, fitted from the moment oracle at
+    n = 1..6 (CI) or 2..7 (DIII) and checked at the next n."""
+    fit = exact.cov(cls, EntryModel.gaussian(), 6, 6)
+    assert str(fit) == want
+    assert fit.limit == 24

@@ -2,10 +2,13 @@
 
 ``_power_trace_monomials`` enumerates rotation classes of walks, and
 ``_power_covariance`` sums cross terms by exponent histogram into one
-exact rational, which the oracle rounds to float once.  The references
-here do neither: one expands Tr X^k walk by walk, the other crosses every
-pair of monomials with equal odd-exponent signature, adds one float term
-per pair, and applies the factor unit/(2n)^h exactly before rounding once.
+exact rational, which the oracle rounds to float once, crossing one
+monomial per relabelling orbit against every monomial of the other trace.
+The references here do none of that: one expands Tr X^k walk by walk, the
+other crosses every pair of monomials with equal odd-exponent signature,
+adds one float term per pair, and applies the factor unit/(2n)^h exactly
+before rounding once.  The relabelling maps are checked on the matrices
+themselves, and their orbits against a search over monomial dicts.
 """
 import functools
 import itertools
@@ -20,11 +23,18 @@ from hypothesis import strategies as st
 
 from symmwig.covariance import (
     BudgetError,
+    _cross_histograms,
+    _histogram_places,
+    _histogram_value,
+    _monomial_images,
+    _orbit_representatives,
+    _orbits,
     _power_covariance,
     _power_trace_monomials,
+    _relabellings,
     cov_cheb_moment_oracle,
 )
-from symmwig.ensemble import EntryModel, SymmetryClass, class_tables
+from symmwig.ensemble import EntryModel, SymmetryClass, build_equivalence_classes, class_tables
 
 DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
 BUDGET = 10**8
@@ -215,3 +225,178 @@ def test_var_t6_at_n3_is_the_float_of_its_rational(cls, model, want):
     """The Chebyshev sum cancels power covariances of size about 10^4;
     summed exactly, it still rounds to the nearest float."""
     assert cov_cheb_moment_oracle(cls, 3, 6, 6, model) == float(want)
+
+
+# -- the relabelling group --------------------------------------------------------
+
+SIZES = [(cls, n) for cls in (CI, DIII) for n in range(2, 6)]
+
+
+def relabelled(cls, n, X, j):
+    """The matrix image of map j of ``_relabellings``: P X P^T for the
+    adjacent transposition (j, j + 1) of diag(pi, pi), and for j = n - 1 the
+    exchange H X H, H = [[I, I], [I, -I]] / sqrt(2), in integers."""
+    if j < n - 1:
+        P = np.eye(2 * n, dtype=np.int64)
+        P[[j, j + 1, n + j, n + j + 1]] = P[[j + 1, j, n + j + 1, n + j]]
+        return P @ X @ P.T
+    eye = np.eye(n, dtype=np.int64)
+    H = np.block([[eye, eye], [eye, -eye]])
+    HXH = H @ X @ H
+    assert not np.any(HXH % 2)
+    return HXH // 2
+
+
+@pytest.mark.parametrize("cls,n", SIZES)
+def test_relabellings_permute_signed_classes(cls, n):
+    """Each map sends the matrix with class variables g to the matrix with
+    class variables s_c g_perm[c], a permutation of the classes with one
+    sign each; the transpositions carry signs only in DIII, and the exchange
+    sends C1(a, b) to C2(a, b) and back with sign +1 in both classes."""
+    cls_id, sign = class_tables(cls, n)
+    nc = int(cls_id.max()) + 1
+
+    def matrix(g):
+        return np.where(cls_id >= 0, sign * g[np.maximum(cls_id, 0)], 0)
+
+    g = np.random.default_rng(n).integers(-1000, 1000, size=nc)
+    maps = _relabellings(cls, n)
+    assert len(maps) == n
+    for j, (perm, s) in enumerate(maps):
+        assert sorted(perm) == list(range(nc)) and set(s.tolist()) <= {-1, 1}
+        assert np.array_equal(relabelled(cls, n, matrix(g), j), matrix(s * g[perm]))
+    *transpositions, (perm, s) = maps
+    assert any(np.any(s_ < 0) for _, s_ in transpositions) == (cls is DIII)
+    assert np.all(s == 1)
+    kinds = {c.index: (c.kind, c.a, c.b) for c in build_equivalence_classes(cls, n)}
+    flip = {"C1": "C2", "C2": "C1"}
+    for c, (kind, a, b) in kinds.items():
+        assert kinds[perm[c]] == (flip[kind], a, b)
+
+
+def monomial_images(symmetry_class, n, k, perm, s):
+    """The image of every monomial of ``exponent_dicts`` under one map, as
+    a (coefficient, {class: exponent}) list in the same order."""
+    return [
+        (coef * math.prod(int(s[c]) ** e for c, e in exps.items()),
+         {int(perm[c]): e for c, e in exps.items()})
+        for coef, exps in exponent_dicts(symmetry_class, n, k)
+    ]
+
+
+@pytest.mark.parametrize("cls,n", CELLS)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_monomial_images_are_signed_monomials(cls, n, k):
+    """Under every map the image of each monomial of Tr X^k is a monomial
+    of Tr X^k with coefficient prod_c s_c^e_c times its own, and
+    ``_monomial_images`` finds that row."""
+    P = _power_trace_monomials(cls, n, k, BUDGET)
+    row = {
+        frozenset(exps.items()): (r, coef)
+        for r, (coef, exps) in enumerate(exponent_dicts(cls, n, k))
+    }
+    maps = _relabellings(cls, n)
+    for (perm, s), got in zip(maps, _monomial_images(P, k, maps)):
+        images = monomial_images(cls, n, k, perm, s)
+        want = [row[frozenset(exps.items())] for _, exps in images]
+        assert [r for r, _ in want] == got.tolist()
+        assert [coef for _, coef in want] == [coef for coef, _ in images]
+
+
+def orbit_partition(cls, n, k, maps):
+    """Orbits of the monomials of Tr X^k, by breadth-first search over
+    their class-exponent dicts."""
+    keys = [frozenset(exps.items()) for _, exps in exponent_dicts(cls, n, k)]
+    index = {key: r for r, key in enumerate(keys)}
+    seen, orbits = set(), []
+    for start in range(len(keys)):
+        if start in seen:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            exps = dict(keys[todo.pop()])
+            for perm, _ in maps:
+                r = index[frozenset((int(perm[c]), e) for c, e in exps.items())]
+                if r not in orbit:
+                    orbit.add(r)
+                    todo.append(r)
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("cls,n", CELLS)
+@pytest.mark.parametrize("sign_free", [False, True])
+def test_orbits_match_search(cls, n, sign_free):
+    """``_orbits`` gives each orbit's first row and size; the sizes divide
+    the group order 2 n! and add up to the number of monomials."""
+    maps = _relabellings(cls, n)
+    if sign_free:
+        maps = [(perm, s) for perm, s in maps if np.all(s == 1)]
+    for k in range(1, 7):
+        P = _power_trace_monomials(cls, n, k, BUDGET)
+        reps, size = _orbits(P, k, maps)
+        want = orbit_partition(cls, n, k, maps)
+        assert reps.tolist() == [orbit[0] for orbit in want]
+        assert size.tolist() == [len(orbit) for orbit in want]
+        assert sum(size) == len(P[1])
+        assert all(2 * math.factorial(n) % int(m) == 0 for m in size)
+
+
+@pytest.mark.parametrize("cls,prune,orbits,monomials,largest", [
+    (CI, True, 141, 4720, 48),
+    (CI, False, 141, 4720, 48),
+    (DIII, True, 23, 616, 48),
+    (DIII, False, 308, 616, 2),
+])
+def test_orbit_counts_at_n4(cls, prune, orbits, monomials, largest):
+    """Tr X^6 at n = 4: the group of order 2 * 4! = 48 in CI, where every
+    map is sign-free, and in DIII only the exchange without pruning."""
+    cache: dict = {}
+    exps, coefs = _orbit_representatives(cache, cls, 4, 6, prune, BUDGET)
+    assert len(cache["trace", 6][1]) == monomials
+    reps, size = _orbits(cache["trace", 6], 6, [
+        (perm, s) for perm, s in _relabellings(cls, 4) if prune or np.all(s == 1)
+    ])
+    assert (len(reps), int(size.max())) == (orbits, largest)
+    assert np.array_equal(exps, cache["trace", 6][0][reps])
+    assert np.array_equal(coefs, cache["trace", 6][1][reps] * size)
+    assert _orbit_representatives(cache, cls, 4, 6, prune, BUDGET) is cache["orbits", 6, prune]
+    assert len(cache) == 2
+
+
+@pytest.mark.parametrize("cls,n", CELLS)
+def test_orbit_pairing_equals_full_pairing(cls, n):
+    """Crossing the orbit representatives of Tr X^k1 against all of
+    Tr X^k2 gives the same rational E[XY] as crossing every pair, under
+    every law, the skewed one included."""
+    cache: dict = {}
+    nc = len(build_equivalence_classes(cls, n))
+    for k1, k2 in POWERS:
+        if (k1 + k2) % 2:
+            continue
+        P1 = _power_trace_monomials(cls, n, k1, BUDGET)
+        P2 = _power_trace_monomials(cls, n, k2, BUDGET)
+        place = _histogram_places(k1 + k2, nc)
+        for name, model, _ in LAWS:
+            prune = model.odd_moments_vanish(k1 + k2)
+            R1 = _orbit_representatives(cache, cls, n, k1, prune, BUDGET)
+            mom = [model.exact_moment(v) for v in range(k1 + k2 + 1)]
+            full = _histogram_value(_cross_histograms(P1, P2, prune, place), place, mom)
+            reduced = _histogram_value(_cross_histograms(R1, P2, prune, place), place, mom)
+            assert isinstance(reduced, Fraction) and reduced == full, (name, k1, k2)
+
+
+@pytest.mark.parametrize("c2,fits", [(2**31 - 1, True), (2**31, False)])
+def test_cross_products_beyond_int64_raise(c2, fits):
+    """With |c1| max * |c2| max >= 2^63 one product alone overflows int64,
+    so the pass refuses it; just below, the sum is exact."""
+    exps = np.array([[2, 0]], dtype=np.int8)
+    P1 = (exps, np.array([2**32], dtype=np.int64))
+    P2 = (exps, np.array([-c2], dtype=np.int64))
+    place = _histogram_places(4, 2)
+    if fits:
+        assert _cross_histograms(P1, P2, True, place) == {int(place[4]): -(2**32) * c2}
+    else:
+        with pytest.raises(BudgetError, match=f"^coefficient products up to {2**63} exceed int64$"):
+            _cross_histograms(P1, P2, True, place)
