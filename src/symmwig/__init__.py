@@ -8,7 +8,6 @@ from .ensemble import (
     MatrixSample,
     SymmetryClass,
     build_equivalence_classes,
-    class_of,
     derive_rng,
     sample_matrix,
     symmetry_stats,
@@ -52,7 +51,6 @@ __all__ = [
     "MatrixSample",
     "SymmetryClass",
     "build_equivalence_classes",
-    "class_of",
     "derive_rng",
     "sample_matrix",
     "symmetry_stats",

@@ -11,8 +11,9 @@ products over equivalence classes.
 
 The configuration oracle splits the configuration index into low digits,
 whose matrices are built once, and high digits, one matrix per value added
-to the whole low block, and runs the recurrence on one block per sign orbit
-of the high digits.  The moment oracle expands each power trace over
+to the low block, and runs the recurrence on one block per sign orbit of
+the high digits, and inside a block on one low row per orbit of the sign
+maps that fix the high digits.  The moment oracle expands each power trace over
 rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms; its Chebyshev sum stays rational and is
@@ -444,12 +445,14 @@ def _class_flips(symmetry_class: SymmetryClass, n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _orbit_basis(flips: np.ndarray, L: int) -> tuple[list[int], np.ndarray]:
-    """Pivot classes and reduced rows spanning ``flips`` over the high classes.
+def _orbit_basis(flips: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot classes and reduced rows spanning ``flips``.
 
-    Gaussian elimination over GF(2) with pivots among the high classes
-    (L <= c < n_classes) only: row i flips its pivot class and no other
-    pivot.  Rows that flip no high class are dropped.
+    Gaussian elimination over GF(2): row i flips its pivot class and no
+    other pivot.  A row's pivot is the first high class (L <= c <
+    n_classes) that it flips, or if it flips none, its first low class, so
+    the rows with low pivots flip no high class.  Rows that flip no class
+    are dropped.
     """
     nc = flips.shape[1] - 1
     pivots: list[int] = []
@@ -459,15 +462,31 @@ def _orbit_basis(flips: np.ndarray, L: int) -> tuple[list[int], np.ndarray]:
         for p, b in zip(pivots, basis):
             if v[p]:
                 v ^= b
-        hits = np.flatnonzero(v[L:nc])
+        hits = np.flatnonzero(v[:nc])
         if len(hits):
-            p = L + int(hits[0])
+            p = int(hits[hits >= L][0] if hits[-1] >= L else hits[0])
             for b in basis:
                 if b[p]:
                     b ^= v
             pivots.append(p)
             basis.append(v)
-    return pivots, np.array(basis, dtype=bool).reshape(len(basis), nc + 1)
+    return np.array(pivots, dtype=np.intp), np.array(basis, dtype=bool).reshape(len(basis), nc + 1)
+
+
+def _representatives(
+    digits: np.ndarray, start: int, pivots: np.ndarray, basis: np.ndarray,
+    negative: np.ndarray, neg: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, rep) per row of ``digits``, the digits of the classes from
+    ``start`` on: the group element g, the sum of the basis rows whose
+    pivots sit on negative atoms, and the index of the row that g maps the
+    row to.  ``negative`` marks the negative atoms, and ``neg`` maps each
+    atom to its negative."""
+    on_negative = negative[digits[:, pivots - start]]
+    g = (on_negative.astype(np.int64) @ basis.astype(np.int64) & 1).astype(bool)
+    width = digits.shape[1]
+    moved = np.where(g[:, start : start + width], neg[digits], digits)
+    return g, moved @ len(neg) ** np.arange(width)
 
 
 def cov_traces_config_oracle(
@@ -509,9 +528,13 @@ def cov_traces_config_oracle(
     the low classes that those rows flip, one permutation of the whole low
     block.  Pivots on high digits are what make the group element a
     function of the high digits alone; which high class is the pivot is
-    immaterial, and the first one is taken.  A zero atom on a pivot leaves
-    some orbits with several representatives, which costs time, not
-    exactness.  Each representative is evaluated on first use and dropped
+    immaterial, and the first one is taken.  The rows that flip no high
+    class act inside every block: their pivots, on low classes, pick the
+    low representatives the same way, and only those rows of each block
+    are evaluated; every other low row reads the traces of its
+    representative by a gather and a sign.  A zero atom on a
+    pivot leaves some orbits with several representatives, which costs
+    time, not exactness.  Each block is evaluated on first use and dropped
     after its last.
     """
     atoms = model.finite_support
@@ -533,18 +556,21 @@ def cov_traces_config_oracle(
     symmetric = all(-v in values for v in values)
     neg = np.array([values.index(-v) if symmetric else a for a, v in enumerate(values)])
     flips = _class_flips(symmetry_class, n) if symmetric else np.zeros((0, nc + 1), dtype=bool)
+    negative = np.array(values) < 0
     pivots, basis = _orbit_basis(flips, L)
-    # group element of each high-digit value: the rows whose pivots are negative
-    on_negative = np.array(values)[high[:, np.array(pivots, dtype=int) - L]] < 0
-    g = (on_negative.astype(np.int64) @ basis.astype(np.int64) & 1).astype(bool)
-    rep = np.where(g[:, L:nc], neg[high], high) @ A ** np.arange(nc - L)
+    on_high = pivots >= L
+    g, rep = _representatives(high, L, pivots[on_high], basis[on_high], negative, neg)
     patterns, pattern_of = np.unique(g[:, :L], axis=0, return_inverse=True)
     perms = [np.where(f, neg[low], low) @ A ** np.arange(L) for f in patterns]
     signs = np.where(g[:, nc, None], [(-1.0) ** m, (-1.0) ** mu], 1.0)
     uses = np.bincount(rep, minlength=len(high))
+    # the rows with low pivots flip no high class: they act inside every block
+    u, low_rep = _representatives(low, 0, pivots[~on_high], basis[~on_high], negative, neg)
+    evaluated, low_rep = np.unique(low_rep, return_inverse=True)
+    low_signs = np.where(u[:, nc, None], [(-1.0) ** m, (-1.0) ** mu], 1.0)
 
     M = max(m, mu)
-    block = _config_blocks(layout, atoms, low)
+    block = _config_blocks(layout, atoms, low[evaluated])
     stacks: list = []  # the recurrence's stacks, shared by every block
     live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     tx, ty, w = (np.empty(_DOT_WINDOW) for _ in range(3))
@@ -564,7 +590,7 @@ def cov_traces_config_oracle(
             if not stacks:
                 stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
             t = _recurrence_traces(X, M, model.sigma, stacks)
-            live[r] = (t[:, m - 1].copy(), t[:, mu - 1].copy())
+            live[r] = (low_signs[:, 0] * t[low_rep, m - 1], low_signs[:, 1] * t[low_rep, mu - 1])
         perm = perms[pattern_of[h]]
         xb = signs[h, 0] * live[r][0][perm]
         yb = signs[h, 1] * live[r][1][perm]
@@ -651,12 +677,7 @@ def _power_trace_monomials(
             j += on_grid(np.arange(dim - low) == 0, ax)
         valid = np.all(c >= 0, axis=0)
         c, w = c[:, valid], s[valid] * (L // j[valid])
-        # sort each walk's classes with a bubble network over the rows
-        for top in range(k - 1, 0, -1):
-            for l in range(top):
-                least = np.minimum(c[l], c[l + 1])
-                np.maximum(c[l], c[l + 1], out=c[l + 1])
-                c[l] = least
+        c = np.sort(c, axis=0)  # each walk's classes in order
         # one int64 per sorted walk, base n_classes with the first id most
         # significant: numeric order is the lexicographic order of the rows
         code = np.zeros(c.shape[1], dtype=np.int64)

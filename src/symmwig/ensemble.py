@@ -29,7 +29,6 @@ __all__ = [
     "BlockLayout",
     "block_layout",
     "build_equivalence_classes",
-    "class_of",
     "class_tables",
     "sample_matrix",
     "symmetry_stats",
@@ -79,26 +78,24 @@ class EquivClass:
         return len(self.members)
 
 
-# Sign of each member relative to the representative, in the member order
-# of _members_c1/_members_c2 (off-diagonal classes, a < b); _DIAG_SIGNS
-# does the same for the two members of a CI diagonal class.  The signs
-# follow from Hermiticity plus the block relations and are verified
-# exhaustively in the test suite.
+# Class (kind, a, b), 1 <= a <= b <= n, holds the index pairs
+#   C1: (a, b), (b, a), (n + a, n + b), (n + b, n + a)
+#   C2: (n + a, b), (n + b, a), (a, n + b), (b, n + a)
+# and the entry at each is its sign below times the entry at the first.
+# The signs follow from Hermiticity plus the block relations and are
+# verified exhaustively in the test suite.  A diagonal class (a == b) lists
+# its first and third pairs twice each: with one sign in CI, where it is a
+# class of size 2, and with opposite signs in DIII, where those entries are
+# zero and there is no class.  As arrays: pair j is (b, a) rather than
+# (a, b) where _SWAP[j]; its column is in the lower block where _LOWER[j],
+# and so is its row in C1, while C2 has its rows in the other block.
+_KINDS = ("C1", "C2")
 _SIGNS = {
-    (SymmetryClass.DIII, "C1"): (1, -1, -1, 1),
-    (SymmetryClass.DIII, "C2"): (1, -1, 1, -1),
-    (SymmetryClass.CI, "C1"): (1, 1, -1, -1),
-    (SymmetryClass.CI, "C2"): (1, 1, 1, 1),
+    SymmetryClass.DIII: np.array([[1, -1, -1, 1], [1, -1, 1, -1]], dtype=np.int8),
+    SymmetryClass.CI: np.array([[1, 1, -1, -1], [1, 1, 1, 1]], dtype=np.int8),
 }
-_DIAG_SIGNS = {"C1": (1, -1), "C2": (1, 1)}
-
-
-def _members_c1(n: int, a: int, b: int) -> tuple[IndexPair, ...]:
-    return ((a, b), (b, a), (n + a, n + b), (n + b, n + a))
-
-
-def _members_c2(n: int, a: int, b: int) -> tuple[IndexPair, ...]:
-    return ((n + a, b), (n + b, a), (a, n + b), (b, n + a))
+_SWAP = np.array([False, True, False, True])
+_LOWER = np.array([0, 0, 1, 1])
 
 
 def _check_size(symmetry_class: SymmetryClass, n: int) -> None:
@@ -109,92 +106,56 @@ def _check_size(symmetry_class: SymmetryClass, n: int) -> None:
         raise ValueError("degenerate space: DIII with n=1 is identically zero")
 
 
+def _class_rows(symmetry_class: SymmetryClass, n: int) -> tuple[np.ndarray, ...]:
+    """The member rule for every class at once, in canonical order, 0-based.
+
+    Order: C1(a,b) for a<b lexicographic, then C2(a,b), then (CI only)
+    the diagonal classes C1(a,a) and C2(a,a).  Returns (kind, a, b, p, q,
+    s): per class its kind (0 for C1, 1 for C2), a and b; per class and
+    member, in the order of the rule, the pair (p, q) and the sign s.
+    """
+    _check_size(symmetry_class, n)
+    i = np.arange(n)
+    a, b = np.nonzero(i[:, None] < i)
+    noff = len(a)
+    if symmetry_class is SymmetryClass.CI:
+        a, b = np.concatenate([a, a, i, i]), np.concatenate([b, b, i, i])
+        kind = np.repeat([0, 1, 0, 1], [noff, noff, n, n])
+    else:
+        a, b = np.concatenate([a, a]), np.concatenate([b, b])
+        kind = np.repeat([0, 1], noff)
+    x, y = a[:, None], b[:, None]
+    p = np.where(_SWAP, y, x) + n * (kind[:, None] ^ _LOWER)
+    q = np.where(_SWAP, x, y) + n * _LOWER
+    return kind, a, b, p, q, _SIGNS[symmetry_class][kind]
+
+
 def build_equivalence_classes(
     symmetry_class: SymmetryClass, n: int
 ) -> tuple[EquivClass, ...]:
-    """All signed entry classes of the 2n x 2n space, in canonical order.
-
-    Order: C1(a,b) for a<b lexicographic, then C2(a,b), then (CI only)
-    the diagonal classes C1(a,a) and C2(a,a).  DIII has n(n-1) classes
-    of size 4; CI has n(n-1) + 2n classes.
-    """
-    _check_size(symmetry_class, n)
-    classes: list[EquivClass] = []
-    for kind, maker in (("C1", _members_c1), ("C2", _members_c2)):
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                classes.append(
-                    EquivClass(
-                        index=len(classes),
-                        kind=kind,
-                        a=a,
-                        b=b,
-                        members=maker(n, a, b),
-                        signs=_SIGNS[(symmetry_class, kind)],
-                    )
-                )
-    if symmetry_class is SymmetryClass.CI:
-        for kind in ("C1", "C2"):
-            for a in range(1, n + 1):
-                members = (
-                    ((a, a), (n + a, n + a)) if kind == "C1" else ((n + a, a), (a, n + a))
-                )
-                classes.append(
-                    EquivClass(
-                        index=len(classes),
-                        kind=kind,
-                        a=a,
-                        b=a,
-                        members=members,
-                        signs=_DIAG_SIGNS[kind],
-                    )
-                )
+    """All signed entry classes of the 2n x 2n space, in the canonical order
+    of ``_class_rows``.  DIII has n(n-1) classes of size 4; CI has
+    n(n-1) + 2n classes."""
+    kind, a, b, p, q, s = _class_rows(symmetry_class, n)
+    rows = zip(kind.tolist(), (a + 1).tolist(), (b + 1).tolist(),
+               (p + 1).tolist(), (q + 1).tolist(), s.tolist())
+    classes = []
+    for index, (k, ai, bi, pi, qi, si) in enumerate(rows):
+        keep = slice(None) if ai < bi else slice(None, None, 2)  # first and third
+        members = tuple(zip(pi[keep], qi[keep]))
+        classes.append(EquivClass(index, _KINDS[k], ai, bi, members, tuple(si[keep])))
     return tuple(classes)
-
-
-def _offdiag_rank(n: int, a: int, b: int) -> int:
-    # position of (a, b), a < b, in lexicographic order over a < b
-    return (a - 1) * n - a * (a - 1) // 2 + (b - a - 1)
-
-
-def class_of(
-    symmetry_class: SymmetryClass, n: int, pair: IndexPair
-) -> Optional[tuple[int, int]]:
-    """(class index, sign relative to representative), or None if the
-    entry is forced to zero (DIII skew block diagonals)."""
-    p, q = pair
-    if not (1 <= p <= 2 * n and 1 <= q <= 2 * n):
-        raise ValueError(f"index pair {pair} out of range for dimension {2 * n}")
-    r = p - n if p > n else p
-    s = q - n if q > n else q
-    kind = "C1" if (p > n) == (q > n) else "C2"
-    if r == s:
-        if symmetry_class is SymmetryClass.DIII:
-            return None
-        noff = n * (n - 1) // 2
-        idx = 2 * noff + (0 if kind == "C1" else n) + (r - 1)
-        members = ((r, r), (n + r, n + r)) if kind == "C1" else ((n + r, r), (r, n + r))
-        sign = _DIAG_SIGNS[kind][members.index(pair)]
-        return idx, sign
-    a, b = min(r, s), max(r, s)
-    noff = n * (n - 1) // 2
-    idx = (0 if kind == "C1" else noff) + _offdiag_rank(n, a, b)
-    members = _members_c1(n, a, b) if kind == "C1" else _members_c2(n, a, b)
-    sign = _SIGNS[(symmetry_class, kind)][members.index(pair)]
-    return idx, sign
 
 
 def class_tables(
     symmetry_class: SymmetryClass, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense 0-based lookup: (class id or -1, sign) per (p-1, q-1)."""
-    dim = 2 * n
-    cls_id = np.full((dim, dim), -1, dtype=np.int32)
-    sign = np.zeros((dim, dim), dtype=np.int8)
-    for c in build_equivalence_classes(symmetry_class, n):
-        for (p, q), s in zip(c.members, c.signs):
-            cls_id[p - 1, q - 1] = c.index
-            sign[p - 1, q - 1] = s
+    _, _, _, p, q, s = _class_rows(symmetry_class, n)
+    cls_id = np.full((2 * n, 2 * n), -1, dtype=np.int32)
+    sign = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    cls_id[p, q] = np.arange(len(p))[:, None]
+    sign[p, q] = s
     return cls_id, sign
 
 
@@ -423,21 +384,10 @@ def symmetry_stats(symmetry_class: SymmetryClass, n: int) -> tuple[int, int]:
     alpha2 is the largest class size; alpha0_hat counts triples
     (p, q, r) with p != r and (p, q) ~ (q, r).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    classes = build_equivalence_classes(symmetry_class, n)
-    alpha2 = max(c.size for c in classes)
     cls_id, _ = class_tables(symmetry_class, n)
-    dim = 2 * n
-    alpha0 = 0
-    for q in range(dim):
-        col = cls_id[:, q]
-        row = cls_id[q, :]
-        for p in range(dim):
-            cpq = col[p]
-            if cpq < 0:
-                continue
-            # (q, r) in the same class, r != p
-            matches = np.nonzero(row == cpq)[0]
-            alpha0 += int(np.count_nonzero(matches != p))
-    return alpha2, alpha0
+    live = cls_id >= 0
+    alpha2 = int(np.bincount(cls_id[live]).max())
+    # same[p, q, r]: (p, q) is a live entry in the class of (q, r)
+    same = (cls_id[:, :, None] == cls_id[None, :, :]) & live[:, :, None]
+    same &= ~np.eye(2 * n, dtype=bool)[:, None, :]
+    return alpha2, int(np.count_nonzero(same))

@@ -65,6 +65,7 @@ from .ensemble import (
     BlockLayout,
     EntryModel,
     SymmetryClass,
+    _check_size,
     block_layout,
     derive_rng,
 )
@@ -111,8 +112,7 @@ class SimulationConfig:
             raise ValueError("need at least 2 samples")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_size(self.symmetry_class, self.n)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         # a bad law is rejected here, not inside a worker

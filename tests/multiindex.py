@@ -6,20 +6,66 @@ sharing an entry class) is the pairing pi_g.  These definitions enumerate
 one multi-index at a time.  ``symmwig.covariance._good_sign_sums``
 computes the same good sets over label shapes, and the tests check it
 against them and against ``walk_sign_sums``, which enumerates every
-row-one index walk.
+row-one index walk.  ``class_of`` is the signed class rule in closed form,
+the reference for ``symmwig.ensemble.class_tables``.
 """
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
 from symmwig.covariance import PARTITION_MODES, _member_tables
-from symmwig.ensemble import IndexPair, SymmetryClass, class_of, class_tables
+from symmwig.ensemble import IndexPair, SymmetryClass, class_tables
 from symmwig.patterns import BudgetError, DihedralElement
+
+
+# The signed class rule in closed form, stated apart from the package's
+# member rows, which the table tests compare against it: the sign of each
+# member relative to the representative, for the off-diagonal classes
+# (a < b) and for the two members of a CI diagonal class.
+_OFFDIAG_SIGNS = {
+    (SymmetryClass.DIII, "C1"): (1, -1, -1, 1),
+    (SymmetryClass.DIII, "C2"): (1, -1, 1, -1),
+    (SymmetryClass.CI, "C1"): (1, 1, -1, -1),
+    (SymmetryClass.CI, "C2"): (1, 1, 1, 1),
+}
+_DIAG_SIGNS = {"C1": (1, -1), "C2": (1, 1)}
+
+
+def _offdiag_rank(n: int, a: int, b: int) -> int:
+    # position of (a, b), a < b, in lexicographic order over a < b
+    return (a - 1) * n - a * (a - 1) // 2 + (b - a - 1)
+
+
+def class_of(
+    symmetry_class: SymmetryClass, n: int, pair: IndexPair
+) -> Optional[tuple[int, int]]:
+    """(class index, sign relative to representative), or None if the
+    entry is forced to zero (DIII skew block diagonals)."""
+    p, q = pair
+    if not (1 <= p <= 2 * n and 1 <= q <= 2 * n):
+        raise ValueError(f"index pair {pair} out of range for dimension {2 * n}")
+    r = p - n if p > n else p
+    s = q - n if q > n else q
+    kind = "C1" if (p > n) == (q > n) else "C2"
+    noff = n * (n - 1) // 2
+    if r == s:
+        if symmetry_class is SymmetryClass.DIII:
+            return None
+        idx = 2 * noff + (0 if kind == "C1" else n) + (r - 1)
+        members = ((r, r), (n + r, n + r)) if kind == "C1" else ((n + r, r), (r, n + r))
+        return idx, _DIAG_SIGNS[kind][members.index(pair)]
+    a, b = min(r, s), max(r, s)
+    idx = (0 if kind == "C1" else noff) + _offdiag_rank(n, a, b)
+    if kind == "C1":
+        members = ((a, b), (b, a), (n + a, n + b), (n + b, n + a))
+    else:
+        members = ((n + a, b), (n + b, a), (a, n + b), (b, n + a))
+    return idx, _OFFDIAG_SIGNS[(symmetry_class, kind)][members.index(pair)]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,37 @@ def test_classes_example(capsys):
     assert {r[3] for r in rows[1:]} == {"C1", "C2"}
 
 
+CLASSES_CSV = {
+    ("DIII", 3): """\
+class,n,index,kind,a,b,size,members,signs
+DIII,3,0,C1,1,2,4,1:2;2:1;4:5;5:4,1;-1;-1;1
+DIII,3,1,C1,1,3,4,1:3;3:1;4:6;6:4,1;-1;-1;1
+DIII,3,2,C1,2,3,4,2:3;3:2;5:6;6:5,1;-1;-1;1
+DIII,3,3,C2,1,2,4,4:2;5:1;1:5;2:4,1;-1;1;-1
+DIII,3,4,C2,1,3,4,4:3;6:1;1:6;3:4,1;-1;1;-1
+DIII,3,5,C2,2,3,4,5:3;6:2;2:6;3:5,1;-1;1;-1
+""",
+    ("CI", 2): """\
+class,n,index,kind,a,b,size,members,signs
+CI,2,0,C1,1,2,4,1:2;2:1;3:4;4:3,1;1;-1;-1
+CI,2,1,C2,1,2,4,3:2;4:1;1:4;2:3,1;1;1;1
+CI,2,2,C1,1,1,2,1:1;3:3,1;-1
+CI,2,3,C1,2,2,2,2:2;4:4,1;-1
+CI,2,4,C2,1,1,2,3:1;1:3,1;1
+CI,2,5,C2,2,2,2,4:2;2:4,1;1
+""",
+}
+
+
+@pytest.mark.parametrize("cls,n", sorted(CLASSES_CSV))
+def test_classes_golden_csv(capsys, cls, n):
+    """The member rule, spelled out: members and signs of every class, in
+    canonical order, byte for byte."""
+    code, out, err = run(capsys, "classes", "--class", cls, "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out.replace("\r\n", "\n") == CLASSES_CSV[(cls, n)]
+
+
 def test_patterns_example(capsys):
     code, out, _ = run(
         capsys, "patterns", "--m", "4", "--condition", "forward",

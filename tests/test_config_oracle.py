@@ -2,9 +2,9 @@
 
 ``cov_traces_config_oracle`` builds the matrices of the low digits once,
 adds one matrix per value of the high digits, and runs the recurrence once
-per sign orbit.  The reference here assembles every configuration from its
-own digits, runs the literal recurrence on each and takes the weighted sums
-over the same windows of 2^13 configurations.
+per sign orbit, inside each block too.  The reference here assembles every
+configuration from its own digits, runs the literal recurrence on each and
+takes the weighted sums over the same windows of 2^13 configurations.
 """
 import itertools
 import math
@@ -179,14 +179,25 @@ CI4_RADEMACHER = {
 
 
 def test_one_evaluation_per_orbit(monkeypatch):
-    """CI n = 4 under Rademacher entries: 2^20 configurations, a group of
-    order 16 seen from the high digits, so 2^16 matrices, and the values of
-    the full enumeration."""
+    """CI n = 4 under Rademacher entries: 2^20 configurations and a sign
+    group of order 32, of rank 4 on the high digits and one more inside
+    each block, so 2^15 matrices, and the values of the full enumeration."""
     evaluated = count_evaluations(monkeypatch)
     for (m, mu), value in CI4_RADEMACHER.items():
         evaluated.clear()
         assert cov_traces_config_oracle(CI, 4, m, mu, RADEM) == float.fromhex(value)
-        assert sum(evaluated) == 1 << 16
+        assert sum(evaluated) == 1 << 15
+
+
+@pytest.mark.parametrize("cls,n,count", [(CI, 3, 1 << 8), (DIII, 3, 4), (DIII, 4, 1 << 7)])
+def test_rademacher_evaluates_configurations_over_group_order(monkeypatch, cls, n, count):
+    """Rademacher entries: 2^n_classes configurations over a sign group of
+    order 2^(n + 1), whatever rank it has on the high digits (CI n = 3:
+    1 of 4; DIII n = 3: no high digits; DIII n = 4: 3 of 5; CI n = 4, 4 of
+    5, is above)."""
+    evaluated = count_evaluations(monkeypatch)
+    cov_traces_config_oracle(cls, n, 4, 6, RADEM)
+    assert sum(evaluated) == count == 2 ** block_layout(cls, n).n_classes >> (n + 1)
 
 
 def test_law_without_symmetry_evaluates_every_configuration(monkeypatch):

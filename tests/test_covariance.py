@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from multiindex import (
     MultiIndex,
+    class_of,
     enumerate_consistent_multiindices,
     good_multiindices,
     induced_partition,
@@ -34,7 +35,6 @@ from symmwig.ensemble import (
     EntryModel,
     SymmetryClass,
     build_equivalence_classes,
-    class_of,
     class_tables,
 )
 from symmwig.patterns import dihedral_group

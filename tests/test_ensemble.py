@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiindex import class_of
 from symmwig.ensemble import (
     EntryModel,
     ScaleMismatch,
     SymmetryClass,
     block_layout,
     build_equivalence_classes,
-    class_of,
     class_tables,
     derive_rng,
     sample_matrix,
@@ -82,17 +82,18 @@ def test_class_of_range_check():
         class_of(SymmetryClass.CI, 2, (1, 5))
 
 
-def test_class_tables_match_class_of():
-    for cls in CLASSES:
-        n = 3
-        cid, sign = class_tables(cls, n)
-        for p in range(1, 2 * n + 1):
-            for q in range(1, 2 * n + 1):
-                hit = class_of(cls, n, (p, q))
-                if hit is None:
-                    assert cid[p - 1, q - 1] == -1
-                else:
-                    assert (cid[p - 1, q - 1], sign[p - 1, q - 1]) == hit
+@pytest.mark.parametrize(
+    "cls,n", [(c, n) for c in CLASSES for n in (1, 2, 3, 5, 8) if (c, n) != (CLASSES[0], 1)]
+)
+def test_class_tables_match_class_of(cls, n):
+    cid, sign = class_tables(cls, n)
+    for p in range(1, 2 * n + 1):
+        for q in range(1, 2 * n + 1):
+            hit = class_of(cls, n, (p, q))
+            if hit is None:
+                assert (cid[p - 1, q - 1], sign[p - 1, q - 1]) == (-1, 0)
+            else:
+                assert (cid[p - 1, q - 1], sign[p - 1, q - 1]) == hit
 
 
 @pytest.mark.parametrize("cls,n,seed", [(c, n, s) for c in CLASSES for n, s in ((2, 0), (4, 7))])
@@ -200,6 +201,26 @@ def test_symmetry_stats(cls, n):
     alpha2, alpha0 = symmetry_stats(cls, n)
     assert alpha2 == 4
     assert alpha0 == 0
+
+
+def test_symmetry_stats_counts_triples(monkeypatch):
+    """On tables where alpha0 is not 0, the broadcast count equals the
+    literal scan over (p, q, r) and the largest class size."""
+    import symmwig.ensemble as ensemble
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        dim = 2 * n
+        cls_id = rng.integers(-1, 3, (dim, dim)).astype(np.int32)
+        monkeypatch.setattr(ensemble, "class_tables", lambda c, m: (cls_id, None))
+        alpha0 = sum(
+            1
+            for p in range(dim) for q in range(dim) for r in range(dim)
+            if p != r and cls_id[p, q] >= 0 and cls_id[q, r] == cls_id[p, q]
+        )
+        alpha2 = max(np.count_nonzero(cls_id == c) for c in range(3))
+        assert alpha0 > 0
+        assert symmetry_stats(SymmetryClass.CI, n) == (alpha2, alpha0)
 
 
 @settings(max_examples=25, deadline=None)

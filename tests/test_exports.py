@@ -20,10 +20,12 @@ def test_every_export_resolves():
 
 
 def test_reference_definitions_stay_in_tests():
-    """The literal multi-index definitions are test references
-    (tests/multiindex.py), not package names."""
-    from symmwig import covariance
+    """The literal multi-index definitions and the closed-form class rule
+    are test references (tests/multiindex.py), not package names."""
+    from symmwig import covariance, ensemble
 
     for name in ("MultiIndex", "InducedPartition", "enumerate_consistent_multiindices",
                  "induced_partition", "good_multiindices"):
         assert not hasattr(covariance, name) and name not in symmwig.__all__
+    for name in ("class_of", "_offdiag_rank"):
+        assert not hasattr(ensemble, name) and not hasattr(symmwig, name)

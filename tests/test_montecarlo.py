@@ -41,6 +41,19 @@ def test_config_validation():
     assert SimulationConfig("diii", 4).symmetry_class is DIII
 
 
+@pytest.mark.parametrize("cls,n,message", [
+    (CI, 0, "n must be positive"),
+    (DIII, 0, "n must be positive"),
+    (DIII, 1, "degenerate space: DIII with n=1 is identically zero"),
+])
+def test_config_rejects_degenerate_size(cls, n, message):
+    """A size with no nonzero matrix is rejected when the config is built,
+    with the message of the ensemble's own check; CI n = 1 is a space."""
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig(cls, n)
+    assert SimulationConfig(CI, 1).n == 1
+
+
 @pytest.mark.parametrize("sigma", (-1.0, float("nan"), float("inf"), 1e200, 1e-170, 1e-160))
 def test_config_rejects_bad_sigma(sigma):
     """A sigma whose square overflows, underflows to zero or is subnormal
