@@ -13,7 +13,9 @@ The configuration oracle splits the configuration index into low digits,
 whose matrices are built once, and high digits, one matrix per value added
 to the low block, and runs the recurrence on one block per sign orbit of
 the high digits, and inside a block on one low row per orbit of the sign
-maps that fix the high digits.  The moment oracle expands each power trace over
+maps that fix the high digits.  It evaluates each of those matrices once
+into a table, then sums each window of configurations with one gather from
+the table.  The moment oracle expands each power trace over
 rotation classes of walks and sums the integer coefficients of its cross
 terms by exponent histogram, so that each expectation is one exact sum
 over a few dozen histograms; its Chebyshev sum stays rational and is
@@ -42,13 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .chebyshev import _recurrence_traces, _stack_count, cheb_coefficients
 from .ensemble import (
-    BlockLayout,
     EntryModel,
     SymmetryClass,
     _check_size,
@@ -357,43 +358,6 @@ def _config_digits(A: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
     return digits(A**L, L), digits(A ** (nc - L), nc - L)
 
 
-def _config_blocks(
-    layout: BlockLayout, atoms: tuple[tuple[float, float], ...], low: np.ndarray
-):
-    """Block builder: high-digit row -> scaled matrices of its block.
-
-    The A^L matrices of the low digits are built once.  The block of one
-    high-digit value is the low block plus that value's matrix, which is
-    exact up to the sign of zero because every entry belongs to one class.
-    Every block is written into one buffer, overwritten by the next.
-    """
-    values = np.array([v for v, _ in atoms])
-    nc, L = layout.n_classes, low.shape[1]
-    scale = layout.unit / math.sqrt(layout.dim)
-    draws = np.zeros((len(low), nc))
-    draws[:, :L] = values[low]
-    x_low = scale * layout.assemble(draws)
-    buf = np.empty_like(x_low)
-
-    def block(high: np.ndarray) -> np.ndarray:
-        draws = np.zeros(nc)
-        draws[L:] = values[high]
-        np.add(x_low, scale * layout.assemble(draws), out=buf)
-        return buf
-
-    return block
-
-
-def _config_weights(
-    atoms: tuple[tuple[float, float], ...], low: np.ndarray, high: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Product probabilities of every block, in index order."""
-    probs = np.array([p for _, p in atoms])
-    w_low = probs[low].prod(axis=1)
-    for row in high:
-        yield w_low * probs[row].prod()
-
-
 def _class_map(
     cls_id: np.ndarray, sign: np.ndarray, src_p, src_q, t
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -532,10 +496,18 @@ def cov_traces_config_oracle(
     class act inside every block: their pivots, on low classes, pick the
     low representatives the same way, and only those rows of each block
     are evaluated; every other low row reads the traces of its
-    representative by a gather and a sign.  A zero atom on a
-    pivot leaves some orbits with several representatives, which costs
-    time, not exactness.  Each block is evaluated on first use and dropped
-    after its last.
+    representative by a gather and a sign.  A zero atom on a pivot leaves
+    some orbits with several representatives, which costs time, not
+    exactness.
+
+    Two passes.  The first evaluates each distinct high representative
+    once, on the low representatives only, and keeps the traces of degrees
+    m and mu in a (block x low representative) table.  The second takes
+    each window with one gather from that table, times the block sign and
+    the low-row sign, in index order.  The table holds 16 bytes per
+    evaluated matrix, N/|G| of them for N configurations and a sign group G
+    (more where zero atoms sit on pivots), and all N when the atom values
+    are not closed under negation: 16 MiB at CI n = 4, 2^20 configurations.
     """
     atoms = model.finite_support
     if atoms is None:
@@ -548,68 +520,65 @@ def cov_traces_config_oracle(
     if A**nc > budget:
         raise BudgetError(f"{A}^{nc} configurations exceed budget {budget}")
 
-    values = [v for v, _ in atoms]
+    values, probs = np.array(atoms).T
     low, high = _config_digits(A, nc)
     L = low.shape[1]
     # the sign maps act on configurations when the atom values are closed
     # under negation; otherwise the group is trivial
     symmetric = all(-v in values for v in values)
-    neg = np.array([values.index(-v) if symmetric else a for a, v in enumerate(values)])
+    neg = np.array([list(values).index(-v) if symmetric else a for a, v in enumerate(values)])
     flips = _class_flips(symmetry_class, n) if symmetric else np.zeros((0, nc + 1), dtype=bool)
-    negative = np.array(values) < 0
+    negative = values < 0
     pivots, basis = _orbit_basis(flips, L)
     on_high = pivots >= L
     g, rep = _representatives(high, L, pivots[on_high], basis[on_high], negative, neg)
     patterns, pattern_of = np.unique(g[:, :L], axis=0, return_inverse=True)
     perms = [np.where(f, neg[low], low) @ A ** np.arange(L) for f in patterns]
     signs = np.where(g[:, nc, None], [(-1.0) ** m, (-1.0) ** mu], 1.0)
-    uses = np.bincount(rep, minlength=len(high))
     # the rows with low pivots flip no high class: they act inside every block
     u, low_rep = _representatives(low, 0, pivots[~on_high], basis[~on_high], negative, neg)
     evaluated, low_rep = np.unique(low_rep, return_inverse=True)
     low_signs = np.where(u[:, nc, None], [(-1.0) ** m, (-1.0) ** mu], 1.0)
 
+    # evaluate: one recurrence per distinct high representative, on the
+    # low representatives only, into table[:, block, low representative];
+    # low matrices plus the high value's matrix equal the assembled
+    # configuration up to the sign of zero, as every entry is in one class
+    blocks, pos = np.unique(rep, return_inverse=True)
     M = max(m, mu)
-    block = _config_blocks(layout, atoms, low[evaluated])
-    stacks: list = []  # the recurrence's stacks, shared by every block
-    live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    tx, ty, w = (np.empty(_DOT_WINDOW) for _ in range(3))
+    scale = layout.unit / math.sqrt(layout.dim)
+    draws = np.zeros((len(evaluated), nc))
+    draws[:, :L] = values[low[evaluated]]
+    x_low = scale * layout.assemble(draws)
+    X = np.empty_like(x_low)
+    stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
+    table = np.empty((2, len(blocks), len(evaluated)))
+    for i, r in enumerate(blocks):
+        draws = np.zeros(nc)
+        draws[L:] = values[high[r]]
+        np.add(x_low, scale * layout.assemble(draws), out=X)
+        table[:, i] = _recurrence_traces(X, M, model.sigma, stacks)[:, [m - 1, mu - 1]].T
+    del x_low, X, stacks  # the sum reads the table alone
+
+    # sum: each window gathers the blocks it touches, in index order, at
+    # the flat table index pos * E + col of every configuration
+    tx, ty = table.reshape(2, -1)
+    col, low_signs = low_rep[perms], low_signs[perms]
+    w_low, w_high = probs[low].prod(axis=1), probs[high].prod(axis=1)
+    B, N, E = len(low), A**nc, len(evaluated)
     sx, sy, sxy = [], [], []
-
-    def add_window(size: int) -> None:
-        x, y, p = tx[:size], ty[:size], w[:size]
-        sx.append(float(np.dot(p, x)))
-        sy.append(float(np.dot(p, y)))
-        sxy.append(float(np.dot(p, x * y)))
-
-    fill = 0
-    for h, wb in enumerate(_config_weights(atoms, low, high)):
-        r = int(rep[h])
-        if r not in live:
-            X = block(high[r])
-            if not stacks:
-                stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
-            t = _recurrence_traces(X, M, model.sigma, stacks)
-            live[r] = (low_signs[:, 0] * t[low_rep, m - 1], low_signs[:, 1] * t[low_rep, mu - 1])
-        perm = perms[pattern_of[h]]
-        xb = signs[h, 0] * live[r][0][perm]
-        yb = signs[h, 1] * live[r][1][perm]
-        uses[r] -= 1
-        if not uses[r]:
-            del live[r]
-        pos = 0
-        while pos < len(wb):
-            take = min(len(wb) - pos, _DOT_WINDOW - fill)
-            tx[fill : fill + take] = xb[pos : pos + take]
-            ty[fill : fill + take] = yb[pos : pos + take]
-            w[fill : fill + take] = wb[pos : pos + take]
-            fill += take
-            pos += take
-            if fill == _DOT_WINDOW:
-                add_window(fill)
-                fill = 0
-    if fill:
-        add_window(fill)
+    for lo in range(0, N, _DOT_WINDOW):
+        hi = min(lo + _DOT_WINDOW, N)
+        hs = np.arange(lo // B, -(-hi // B))
+        cut = slice(lo - hs[0] * B, hi - hs[0] * B)
+        p = pattern_of[hs]
+        at = (pos[hs, None] * E + col[p]).ravel()[cut]
+        x = tx[at] * (signs[hs, 0, None] * low_signs[p, :, 0]).ravel()[cut]
+        y = ty[at] * (signs[hs, 1, None] * low_signs[p, :, 1]).ravel()[cut]
+        w = (w_low * w_high[hs, None]).ravel()[cut]
+        sx.append(float(np.dot(w, x)))
+        sy.append(float(np.dot(w, y)))
+        sxy.append(float(np.dot(w, x * y)))
     ex, ey, exy = math.fsum(sx), math.fsum(sy), math.fsum(sxy)
     return exy - ex * ey
 
@@ -1026,6 +995,8 @@ def cov_cheb_moment_oracle(
     records the class, n and entry model under "law", and a call with any
     other raises ValueError.
     """
+    if m < 1 or mu < 1:
+        raise ValueError("degrees must be >= 1")
     if cache is None:
         cache = {}
     return float(_cheb_covariance(symmetry_class, n, m, mu, model, cache, budget))

@@ -73,10 +73,6 @@ class EquivClass:
     members: tuple[IndexPair, ...]
     signs: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 # Class (kind, a, b), 1 <= a <= b <= n, holds the index pairs
 #   C1: (a, b), (b, a), (n + a, n + b), (n + b, n + a)

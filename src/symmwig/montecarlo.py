@@ -57,8 +57,8 @@ import numpy as np
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - dependency is declared
-    threadpool_limits = None
+except ImportError:  # pragma: no cover - an install pulls it in; src/ on PYTHONPATH may lack it
+    threadpool_limits = None  # then run_simulation leaves the BLAS thread count alone
 
 from .covariance import V_asymptotic
 from .ensemble import (

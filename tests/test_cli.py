@@ -292,6 +292,23 @@ def test_oracle_kinds_agree(capsys):
     assert results[0] == pytest.approx(results[1], abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--kind", "config", "--m", "0", "--mu", "2"),
+    ("oracle", "--kind", "config", "--m", "2", "--mu", "0"),
+    ("oracle", "--kind", "config", "--m", "-1", "--mu", "2"),
+    ("oracle", "--kind", "moment", "--m", "0", "--mu", "2"),
+    ("oracle", "--kind", "moment", "--m", "2", "--mu", "0"),
+    ("oracle", "--kind", "moment", "--m", "-1", "--mu", "2"),
+    ("variance", "--mode", "oracle", "--m", "0"),
+    ("variance", "--mode", "oracle", "--m", "-1"),
+])
+def test_oracles_reject_degrees_below_one(capsys, argv):
+    """Both oracles, and the variance that the moment oracle computes,
+    reject a degree below 1 with one message."""
+    code, out, err = run(capsys, *argv, "--class", "CI", "--n", "2")
+    assert (code, out, err) == (1, "", "error: degrees must be >= 1\n")
+
+
 def test_traces_runs(capsys):
     code, out, _ = run(
         capsys, "traces", "--class", "DIII", "--n", "4", "--seed", "2", "--M", "5"
