@@ -17,7 +17,7 @@ import pytest
 
 import symmwig.covariance as covariance
 from symmwig.chebyshev import _recurrence_traces, _stack_count
-from symmwig.covariance import _class_flips, cov_traces_config_oracle
+from symmwig.covariance import _class_flips, _config_digits, cov_traces_config_oracle
 from symmwig.ensemble import EntryModel, SymmetryClass, block_layout
 from test_chebyshev import literal_traces
 
@@ -54,6 +54,39 @@ def reference_config_oracle(cls, n, m, mu, model):
         sxy.append(float(np.dot(w, tx * ty)))
     ex, ey, exy = math.fsum(sx), math.fsum(sy), math.fsum(sxy)
     return exy - ex * ey
+
+
+@pytest.mark.parametrize("cls,n", [(CI, 2), (CI, 3), (DIII, 2), (DIII, 3)])
+@pytest.mark.parametrize("model", (RADEM, THREE_ATOMS, SKEWED), ids=("two", "three", "skewed"))
+def test_low_high_blocks_match_assembly(cls, n, model):
+    """The low matrices plus the matrix of a high-digit value equal the
+    assembled configuration (== ignores the sign of zero), in index order;
+    low weight times high weight is the exact product for dyadic atoms."""
+    values, probs = np.array(model.finite_support).T
+    A = len(values)
+    layout = block_layout(cls, n)
+    nc = layout.n_classes
+    scale = layout.unit / math.sqrt(layout.dim)
+    low, high = _config_digits(A, nc)
+    L = low.shape[1]
+    draws = np.zeros((len(low), nc))
+    draws[:, :L] = values[low]
+    x_low = scale * layout.assemble(draws)
+    w_low, w_high = probs[low].prod(axis=1), probs[high].prod(axis=1)
+    lo = 0
+    for row, wh in zip(high, w_high):
+        draws = np.zeros(nc)
+        draws[L:] = values[row]
+        X = x_low + scale * layout.assemble(draws)
+        digits = digits_of(layout, A, lo, lo + len(low))
+        assert np.array_equal(X, scale * layout.assemble(values[digits]))
+        w, want = w_low * wh, probs[digits].prod(axis=1)
+        if model is SKEWED:
+            assert np.allclose(w, want, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(w, want)
+        lo += len(low)
+    assert lo == A**nc
 
 
 @pytest.mark.parametrize("cls,n", CELLS)
