@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .ensemble import (
     EntryModel,
     EquivClass,
-    MatrixSample,
     SymmetryClass,
     build_equivalence_classes,
     derive_rng,
@@ -48,7 +47,6 @@ __all__ = [
     "__version__",
     "EntryModel",
     "EquivClass",
-    "MatrixSample",
     "SymmetryClass",
     "build_equivalence_classes",
     "derive_rng",

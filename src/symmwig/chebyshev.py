@@ -54,21 +54,21 @@ def cheb_coefficients(m: int, sigma: float) -> ChebSpec:
     return ChebSpec(m=m, sigma=sigma, coeffs=_coeff_rows(m)[m])
 
 
-def trace_cheb_vector(sample, M: int, sigma: float) -> np.ndarray:
+def trace_cheb_vector(X, M: int, sigma: float) -> np.ndarray:
     """(Tr T_m(X, sigma))_{m=1..M} via the matrix recurrence.
 
-    Accepts a MatrixSample, a dense Hermitian ndarray, or a stack of them
-    of shape (..., dim, dim), giving traces of shape (..., M).  Imaginary
+    Accepts a dense Hermitian ndarray, or a stack of them of shape
+    (..., dim, dim), giving traces of shape (..., M).  Imaginary
     residue beyond 1e-9 * dim in any trace of a complex input signals
     broken Hermiticity and raises, as does a non-finite input; a real input
     has none.  An overflow raises OverflowError.  The stacks of the
     recurrence are allocated once per call.
     """
     if M < 1:
-        raise ValueError("M must be at least 1")
+        raise ValueError("M must be >= 1")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    X = np.asarray(getattr(sample, "matrix", sample))
+    X = np.asarray(X)
     X = X.astype(np.result_type(X, 1.0), copy=False)  # float or complex, like every stack below
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("matrix must be square")

@@ -17,7 +17,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
@@ -355,17 +355,21 @@ def _simulation(values: dict):
 
 
 def _clean(x):
-    """NaN/inf have no JSON spelling; emit null."""
+    """x with arrays and tuples as lists, walked through dicts, and NaN/inf,
+    which have no JSON spelling, as null."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _clean(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_clean(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
         return None
-    if isinstance(x, list):
-        return [_clean(v) for v in x]
     return x
 
 
 def _report_json(subcommand: str, config, result, report) -> dict:
-    est = result.estimates
-    return {
+    return _clean({
         "schema": SCHEMA,
         "subcommand": subcommand,
         "config": {
@@ -379,40 +383,9 @@ def _report_json(subcommand: str, config, result, report) -> dict:
             "parallelism": config.parallelism,
         },
         "wall_time": result.wall_time,
-        "mean": _clean(est.mean.tolist()),
-        "cov": _clean(est.cov.tolist()),
-        "cov_se": _clean(est.cov_se.tolist()),
-        "k3": _clean(est.k3.tolist()),
-        "k3_se": _clean(est.k3_se.tolist()),
-        "k4": _clean(est.k4.tolist()),
-        "k4_se": _clean(est.k4_se.tolist()),
-        "report": {
-            "rows": [
-                {
-                    "degree": r.degree,
-                    "var_est": r.var_est,
-                    "var_se": _clean(r.var_se),
-                    "theory": r.theory,
-                    "flag": r.flag,
-                    "z": _clean(r.z),
-                    "k3": _clean(r.k3),
-                    "k4": _clean(r.k4),
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in report.rows
-            ],
-            "offdiag": [
-                {"m": p.m, "mu": p.mu, "z": _clean(p.z), "passed": p.passed}
-                for p in report.offdiag
-            ],
-            "max_offdiag_z": _clean(report.max_offdiag_z),
-            "passed": report.passed,
-            "z_max": report.z_max,
-            "odd_ceiling": report.odd_ceiling,
-            "rel_window": report.rel_window,
-        },
-    }
+        **asdict(result.estimates),
+        "report": asdict(report),
+    })
 
 
 def _cmd_simulate(values: dict) -> int:
@@ -456,8 +429,8 @@ def _cmd_report(values: dict) -> int:
 
 def _cmd_traces(values: dict) -> int:
     model = EntryModel.parse(values["family"], values["sigma"])
-    sample = sample_matrix(values["class"], values["n"], model, values["seed"])
-    traces = trace_cheb_vector(sample, values["M"], model.sigma)
+    X = sample_matrix(values["class"], values["n"], model, values["seed"])
+    traces = trace_cheb_vector(X, values["M"], model.sigma)
     rows = [[m + 1, float(t)] for m, t in enumerate(traces)]
     _emit("traces", values, ["degree", "trace"], rows, seed=values["seed"])
     return 0

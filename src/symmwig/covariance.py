@@ -280,7 +280,7 @@ def _exact_cell(
     if partition_mode not in PARTITION_MODES:
         raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     if m < 1:
-        raise ValueError("m must be positive")
+        raise ValueError("degrees must be >= 1")
     u, dim = symmetry_class.pair_unit, 2 * n
     if m >= 3:
         shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
@@ -328,7 +328,7 @@ def V_asymptotic(
     sigma^2, rounded once.
     """
     if m < 1:
-        raise ValueError("m must be positive")
+        raise ValueError("degrees must be >= 1")
     if m == 2:
         return float(4 * _square_variance(model)), "derived"
     if m % 2 == 1:

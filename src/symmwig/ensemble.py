@@ -25,7 +25,6 @@ __all__ = [
     "EquivClass",
     "EntryModel",
     "ScaleMismatch",
-    "MatrixSample",
     "BlockLayout",
     "block_layout",
     "build_equivalence_classes",
@@ -277,10 +276,6 @@ class EntryModel:
             return Fraction(self.sigma2) ** (k // 2)
         return sum((Fraction(p) * Fraction(v) ** k for v, p in self.atoms), Fraction(0))
 
-    def moment(self, k: int) -> float:
-        """E[g^k], ``exact_moment`` rounded once."""
-        return float(self.exact_moment(k))
-
     def odd_moments_vanish(self, up_to: int) -> bool:
         return all(self.exact_moment(k) == 0 for k in range(1, up_to + 1, 2))
 
@@ -293,19 +288,6 @@ class EntryModel:
         values = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
         return rng.choice(values, size=size, p=probs)
-
-
-@dataclass(frozen=True)
-class MatrixSample:
-    symmetry_class: SymmetryClass
-    n: int
-    model: EntryModel
-    seed: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
 
 def derive_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
@@ -363,15 +345,13 @@ def block_layout(symmetry_class: SymmetryClass, n: int) -> BlockLayout:
 
 def sample_matrix(
     symmetry_class: SymmetryClass, n: int, model: EntryModel, seed: int
-) -> MatrixSample:
-    """One normalized Hermitian draw; deterministic given the seed."""
+) -> np.ndarray:
+    """One normalized Hermitian draw, the complex 2n x 2n array;
+    deterministic given the seed."""
     layout = block_layout(symmetry_class, n)
     draws = model.draw(derive_rng(seed), layout.n_classes)
     W = layout.assemble(draws)
-    matrix = (layout.unit * W / math.sqrt(layout.dim)).astype(np.complex128)
-    return MatrixSample(
-        symmetry_class=symmetry_class, n=n, model=model, seed=seed, matrix=matrix,
-    )
+    return (layout.unit * W / math.sqrt(layout.dim)).astype(np.complex128)
 
 
 def symmetry_stats(symmetry_class: SymmetryClass, n: int) -> tuple[int, int]:

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
 from symmwig.cli import _SUBCOMMANDS, dispatch, load_config
 from symmwig.covariance import V_n_exact
 from symmwig.ensemble import EntryModel, SymmetryClass
+from symmwig.montecarlo import CLTPair, CLTRow, CumulantEstimates
 
 
 def run(capsys, *argv):
@@ -301,12 +303,45 @@ def test_oracle_kinds_agree(capsys):
     ("oracle", "--kind", "moment", "--m", "-1", "--mu", "2"),
     ("variance", "--mode", "oracle", "--m", "0"),
     ("variance", "--mode", "oracle", "--m", "-1"),
+    ("variance", "--mode", "exact", "--m", "0"),
+    ("variance", "--mode", "asymptotic", "--m", "0"),
 ])
 def test_oracles_reject_degrees_below_one(capsys, argv):
-    """Both oracles, and the variance that the moment oracle computes,
-    reject a degree below 1 with one message."""
+    """Both oracles, and the variance in every mode, reject a degree
+    below 1 with one message."""
     code, out, err = run(capsys, *argv, "--class", "CI", "--n", "2")
     assert (code, out, err) == (1, "", "error: degrees must be >= 1\n")
+
+
+@pytest.mark.parametrize("subcommand", ("traces", "simulate", "report"))
+def test_top_degree_below_one_is_one_message(capsys, subcommand):
+    code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--M", "0")
+    assert (code, out, err) == (1, "", "error: M must be >= 1\n")
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_report_document_follows_the_dataclasses(tmp_path, capsys):
+    """The JSON document is written from the result dataclasses: every
+    field of the estimates and of each grading row, with NaN as null.
+    Under DIII n = 2 Rademacher entries Tr T_2 is constant, so its k3 and
+    k4 are NaN."""
+    out = tmp_path / "rep.csv"
+    code, _, _ = run(
+        capsys, "report", "--class", "DIII", "--n", "2", "--family", "rademacher",
+        "--samples", "200", "--seed", "3", "--M", "4", "--out", str(out),
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "rep.csv.json").read_text(), parse_constant=_no_constant)
+    report = doc["report"]
+    assert all(set(row) == {f.name for f in fields(CLTRow)} for row in report["rows"])
+    assert report["offdiag"]
+    assert all(set(pair) == {f.name for f in fields(CLTPair)} for pair in report["offdiag"])
+    assert {f.name for f in fields(CumulantEstimates)} <= set(doc)
+    (degree_2,) = [row for row in report["rows"] if row["degree"] == 2]
+    assert degree_2["k3"] is None and degree_2["k3_se"] is None
 
 
 def test_traces_runs(capsys):

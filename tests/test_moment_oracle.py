@@ -84,7 +84,7 @@ def pairwise_covariances(symmetry_class, n, k1, k2, models):
         return [0.0] * len(models)
     P1 = exponent_dicts(symmetry_class, n, k1)
     P2 = exponent_dicts(symmetry_class, n, k2)
-    moms = [[model.moment(v) for v in range(k1 + k2 + 1)] for model in models]
+    moms = [[float(model.exact_moment(v)) for v in range(k1 + k2 + 1)] for model in models]
     (prune,) = {model.odd_moments_vanish(k1 + k2) for model in models}
 
     def expect(P, model, mom):
