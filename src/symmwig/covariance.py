@@ -29,14 +29,15 @@ times fewer pairs.
 The dihedral formula is one integer per cell: every shift has the sign
 sum S of shift(0) and every reflection eps^m S (eps = -1 in DIII, +1 in
 CI), and one pass with row one starting at index 0 gives S/2n.  That pass
-runs over label shapes, not index walks, so its cost does not grow with n
-(see ``_good_sign_sums``).  The start index does not matter because two
-index maps act transitively on the 2n indices: relabelling 1..n in both
-blocks at once, and swapping the blocks (p <-> p +- n).  Both send
-equivalence classes to classes of the same kind, up to one sign per class.
+runs over label shapes, not index walks, and gives integers a_1..a_m that
+do not depend on n (see ``_shape_sums``).  The start index does not matter
+because two index maps act transitively on the 2n indices: relabelling
+1..n in both blocks at once, and swapping the blocks (p <-> p +- n).  Both
+send equivalence classes to classes of the same kind, up to one sign per
+class.
 In a good multi-index every row-one occurrence of a class is matched by a
 row-two occurrence, so each class occurs an even number of times and those
-signs cancel, in both partition modes.
+signs cancel.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ __all__ = [
     "cov_cheb_moment_oracle",
     "cov_report",
 ]
-
-PARTITION_MODES = ("equality", "compatible")
 
 
 # -- good-set sign sums by label shapes ------------------------------------------
@@ -120,17 +119,14 @@ def _member_tables(cls_id: np.ndarray, sign: np.ndarray):
     return q_by_p, s_by_p, member_p
 
 
-def _good_sign_sums(
-    symmetry_class: SymmetryClass,
-    n: int,
-    m: int,
-    partition_mode: str,
-    budget: int,
-) -> int:
-    """Integer sum over S^good(pi_shift(0)) of the product of all member
-    signs.  Every shift has this sum and every reflection eps^m times it,
+def _shape_sums(symmetry_class: SymmetryClass, m: int, budget: int) -> tuple[int, ...]:
+    """a_1..a_m of the shift sum S(n) = 2n sum_k (n-1)_(k-1) a_k (see
+    ``_shift_sum``); they do not depend on n.  S sums the product of all
+    member signs over S^good(pi_shift(0)), the multi-indices whose row-one
+    slot l shares its class with row-two slot g(l), the m row-one classes
+    being distinct.  Every shift has the sum S and every reflection eps^m S,
     with eps = -1 in DIII and +1 in CI, so this one integer is the whole
-    dihedral cell.  The caller checks ``partition_mode``.
+    dihedral cell.
 
     Row one starts at the index 0 only, and the sum is scaled by 2n (see
     the module docstring).  Its walks are not enumerated: each is one of
@@ -143,11 +139,8 @@ def _good_sign_sums(
     mask and the row-one sign products are built in blocks of
     ``_WALK_CHUNK`` walks to bound memory, and the row-two chase starts from
     each of the (at most four) admissible starting indices of the first
-    slot's class.  With a_k the sum over the shapes with k distinct labels,
-
-        S = 2n * sum_k (n-1)_(k-1) a_k,   (n-1)_(k-1) = perm(n-1, k-1),
-
-    at the cost of Bell(m) 2^(m-1) walks at any n; the budget counts them.
+    slot's class.  a_k is the sum over the shapes with k distinct labels,
+    at the cost of Bell(m) 2^(m-1) walks; the budget counts them.
 
     Proof of the shape sum.  The walks of row one from index 0 with a given
     shape are its images under the injective relabellings tau of the k
@@ -160,11 +153,11 @@ def _good_sign_sums(
     classes, which row-two slots share a class with which row-one slots,
     and the row-two chase, which only visits the labels of row one: it
     maps the good set of the shape walk on the tables of max(m, 2) labels
-    one-to-one onto the good set of its image, in both partition modes.
-    It multiplies the signs of each class's members by one common sign (in
-    DIII, -1 where tau reverses the order of the class's two labels), and
-    each class occurs an even number of times in a good multi-index (see
-    the module docstring), so every sign product is kept.
+    one-to-one onto the good set of its image.  It multiplies the signs of
+    each class's members by one common sign (in DIII, -1 where tau reverses
+    the order of the class's two labels), and each class occurs an even
+    number of times in a good multi-index (see the module docstring), so
+    every sign product is kept.
 
     Proof that odd degrees vanish.  Swap the blocks of row one alone,
     p -> p +- n.  The block form [[X1, X2], [X2, -X1]] keeps every entry's
@@ -183,11 +176,10 @@ def _good_sign_sums(
     and sign, the validity mask, the distinctness of the classes and the
     product of all signs.  Row-one slot l + r shares its class with
     row-two slot g(l + r), so the rotated pair is good for g o rho_r, and
-    the rotation maps S^good(pi_g) onto S^good(pi_{g o rho_r}) in both
-    partition modes.  Since shift(nu) o rho_r = shift(nu + r) and
-    refl(nu) o rho_r = refl(nu + r), the full sums agree along each kind,
-    and by the start-index reduction so do the sums with row one starting
-    at 0.
+    the rotation maps S^good(pi_g) onto S^good(pi_{g o rho_r}).  Since
+    shift(nu) o rho_r = shift(nu + r) and refl(nu) o rho_r = refl(nu + r),
+    the full sums agree along each kind, and by the start-index reduction so
+    do the sums with row one starting at 0.
 
     Every class holds the transpose (q, p) of each member (p, q), with the
     member's sign times eps: X_qp = conj X_pq, and the DIII entries are
@@ -195,12 +187,11 @@ def _good_sign_sums(
     the transpose of slot m - 2 - j (mod m), which has the same class.  So
     it keeps row one, each class's slots in row two up to the reflection
     j -> m - 2 - j, and the cyclic closure of row two: it maps
-    S^good(pi_shift(nu)) one-to-one onto S^good(pi_refl(nu + 1)) in both
-    partition modes, and it multiplies each of the m row-two signs by eps.
+    S^good(pi_shift(nu)) one-to-one onto S^good(pi_refl(nu + 1)), and it
+    multiplies each of the m row-two signs by eps.
     Hence every reflection sum is eps^m times the shift sum, and in DIII at
     odd m the two kinds cancel in the total.
     """
-    _check_size(symmetry_class, n)
     n_walks = _bell(m) << (m - 1)
     if n_walks > budget:
         raise BudgetError(f"{n_walks} shape walks exceed budget {budget}")
@@ -225,10 +216,8 @@ def _good_sign_sums(
         valid = np.ones(len(t), dtype=bool)
         for l in range(m):
             valid &= c[l] >= 0
-        if partition_mode == "equality":
-            for l in range(m):
-                for l2 in range(l + 1, m):
-                    valid &= c[l] != c[l2]
+            for l2 in range(l + 1, m):
+                valid &= c[l] != c[l2]
         w = np.nonzero(valid)[0]
         cw = [arr[w] for arr in c]
         d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
@@ -250,7 +239,15 @@ def _good_sign_sums(
             walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
         closed = v == v0  # cyclic closure of row two
         np.add.at(a, n_labels[shape[w[walk[closed]]]], s2[closed])
-    return 2 * n * sum(math.perm(n - 1, k - 1) * int(a[k]) for k in range(1, m + 1))
+    return tuple(int(x) for x in a[1:])
+
+
+def _shift_sum(symmetry_class: SymmetryClass, n: int, m: int, budget: int) -> int:
+    """S(n) = 2n sum_k (n-1)_(k-1) a_k from the a_k of ``_shape_sums``: a
+    shape with k labels stands for perm(n-1, k-1) walks of row one from 0."""
+    _check_size(symmetry_class, n)
+    a = _shape_sums(symmetry_class, m, budget)
+    return 2 * n * sum(math.perm(n - 1, k) * a_k for k, a_k in enumerate(a))
 
 
 # -- exact finite-size variance ------------------------------------------------
@@ -265,27 +262,26 @@ def _exact_cell(
     n: int,
     m: int,
     model: EntryModel,
-    partition_mode: str,
     budget: int,
-) -> tuple[Fraction, Optional[int]]:
-    """V_n as one rational in sigma^2, and for m >= 3 the shift sum S of
-    ``_good_sign_sums`` (else None).
+) -> tuple[Fraction, Optional[tuple[dict[str, int], Fraction]]]:
+    """V_n as one rational in sigma^2, and for m >= 3 the sign sum of each
+    kind of dihedral element with the scale that values it (else None).
 
     m=1 sums diagonal second moments, m=2 fourth-moment covariances over
     equivalent off-diagonal pairs, both from the counts and signs of
-    ``class_tables``.  m>=3 is the dihedral formula m (1 + u^m) S
-    (u sigma^2 / 2n)^m, u the pair unit (eps of ``_good_sign_sums``): S for
-    each of the m shifts and u^m S for each of the m reflections.
+    ``class_tables``.  m>=3 is the dihedral formula m (S + u^m S)
+    (u sigma^2 / 2n)^m, u the pair unit (eps of ``_shape_sums``) and S the
+    shift sum of ``_shift_sum``: S for each of the m shifts and u^m S for
+    each of the m reflections.
     """
-    if partition_mode not in PARTITION_MODES:
-        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     if m < 1:
         raise ValueError("degrees must be >= 1")
     u, dim = symmetry_class.pair_unit, 2 * n
     if m >= 3:
-        shift_sum = _good_sign_sums(symmetry_class, n, m, partition_mode, budget)
+        shift_sum = _shift_sum(symmetry_class, n, m, budget)
+        sums = {"shift": shift_sum, "reflection": u**m * shift_sum}
         scale = (u * Fraction(model.sigma2) / dim) ** m
-        return m * (1 + u**m) * shift_sum * scale, shift_sum
+        return m * (sums["shift"] + sums["reflection"]) * scale, (sums, scale)
     cls_id, sign = class_tables(symmetry_class, n)
     if m == 1:
         # E a_pp a_qq is (sign product) * u * sigma2 when both diagonal
@@ -304,7 +300,6 @@ def V_n_exact(
     n: int,
     m: int,
     model: EntryModel,
-    partition_mode: str = "equality",
     budget: int = 10**8,
 ) -> float:
     """Finite-size variance coefficient of the degree-m Chebyshev trace:
@@ -312,7 +307,7 @@ def V_n_exact(
     this is the leading-order formula evaluated at n, not the finite-n
     variance that the oracles compute; the two differ by O(1/n).
     """
-    return float(_exact_cell(symmetry_class, n, m, model, partition_mode, budget)[0])
+    return float(_exact_cell(symmetry_class, n, m, model, budget)[0])
 
 
 def V_asymptotic(
@@ -1065,7 +1060,6 @@ def cov_report(
     n: int,
     m: int,
     model: EntryModel,
-    partition_mode: str = "equality",
     budget: int = 10**8,
 ) -> CovReport:
     """Exact value, limit, gap, and (for m >= 3) the per-element split.
@@ -1075,13 +1069,11 @@ def cov_report(
     as one rational rounded once, and v_n is the value of their total, as
     in ``V_n_exact``.  The limit is ``V_asymptotic`` of the same entry law.
     """
-    total, shift_sum = _exact_cell(symmetry_class, n, m, model, partition_mode, budget)
+    total, dihedral = _exact_cell(symmetry_class, n, m, model, budget)
     v_n = float(total)
     per_g: tuple[PerGContribution, ...] = ()
-    if shift_sum is not None:
-        u = symmetry_class.pair_unit
-        scale = (u * Fraction(model.sigma2) / (2 * n)) ** m
-        sums = {"shift": shift_sum, "reflection": u**m * shift_sum}
+    if dihedral is not None:
+        sums, scale = dihedral
         per_g = tuple(
             PerGContribution(str(g), g.kind, g.nu, sums[g.kind], float(sums[g.kind] * scale))
             for g in dihedral_group(m)

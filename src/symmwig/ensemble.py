@@ -296,6 +296,8 @@ def derive_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     Disjoint spawn keys yield independent, reproducible streams, which
     is the whole concurrency story: workers never share a generator.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 

@@ -142,6 +142,7 @@ class MomentAccumulator:
         if self.cross is None:
             self.cross = np.zeros((self.M, self.M))
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the merged sums
     def add_batch(self, t: np.ndarray) -> None:
         """Accumulate a (batch, M) matrix of sample vectors."""
         if t.ndim != 2 or t.shape[1] != self.M:
@@ -156,6 +157,7 @@ class MomentAccumulator:
         self.s4 += np.multiply(d2, d2, out=d2).sum(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the merged sums
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combine two accumulators; equals accumulating both streams."""
     if a.M != b.M:
@@ -420,7 +422,8 @@ def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates
     """Mean, unbiased covariance, standardized k3/k4, and their
     leave-one-block-out jackknife SEs, from the per-block accumulators.
 
-    Empty blocks are skipped; at least two must hold samples.  Constant
+    Empty blocks are skipped; at least two must hold samples.  A merged
+    sum that is not finite raises OverflowError.  Constant
     coordinates get exact-zero covariance rows and not-applicable (NaN)
     higher cumulants.
     """
@@ -430,6 +433,8 @@ def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates
     total = blocks[0]
     for b in blocks[1:]:
         total = merge(total, b)
+    if not all(np.isfinite(x).all() for x in (total.s1, total.s2, total.s3, total.s4, total.cross)):
+        raise OverflowError("the moment sums overflow a float")
     mean, cov, k3, k4 = _point_estimates(total)
 
     B = len(blocks)
@@ -538,8 +543,13 @@ def clt_report(
     finite-size term of their own (nonzero at every n the exact oracles
     reach), so they get the same allowance on the correlation scale:
     |cov| <= rel_window * sqrt(|theory_m * theory_mu|) + z_max * se.  Their
-    z-score against 0 is reported regardless.
+    z-score against 0 is reported regardless.  Each threshold must be
+    finite and >= 0.
     """
+    for name, value in (("z_max", z_max), ("odd_ceiling", odd_ceiling),
+                        ("rel_window", rel_window)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
     est = result.estimates
     M = result.config.M
     if len(theory) != M:

@@ -2,8 +2,8 @@
 
 A multi-index is two cyclic walks of index pairs; it is good for a
 dihedral element g when its induced partition of the row slots (slots
-sharing an entry class) is the pairing pi_g.  These definitions enumerate
-one multi-index at a time.  ``symmwig.covariance._good_sign_sums``
+sharing an entry class) equals the pairing pi_g.  These definitions
+enumerate one multi-index at a time.  ``symmwig.covariance._shift_sum``
 computes the same good sets over label shapes, and the tests check it
 against them and against ``walk_sign_sums``, which enumerates every
 row-one index walk.  ``class_of`` is the signed class rule in closed form,
@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from symmwig.covariance import PARTITION_MODES, _member_tables
+from symmwig.covariance import _member_tables
 from symmwig.ensemble import IndexPair, SymmetryClass, class_tables
 from symmwig.patterns import BudgetError, DihedralElement
 
@@ -103,14 +103,6 @@ class InducedPartition:
 
     blocks: frozenset[frozenset[tuple[int, int]]]
 
-    def refines_into(self, other: frozenset[frozenset[tuple[int, int]]]) -> bool:
-        """Whether every block of ``other`` sits inside one block of self."""
-        where = {}
-        for b in self.blocks:
-            for lab in b:
-                where[lab] = b
-        return all(len({where[lab] for lab in blk}) == 1 for blk in other)
-
 
 def enumerate_consistent_multiindices(
     dim: int, k1: int, k2: int, budget: int = 10**8
@@ -150,18 +142,13 @@ def good_multiindices(
     symmetry_class: SymmetryClass,
     n: int,
     m: int,
-    partition_mode: str = "equality",
     budget: int = 10**8,
 ) -> list[MultiIndex]:
-    """Consistent multi-indices whose induced partition matches pi_g.
+    """Consistent multi-indices whose induced partition equals pi_g.
 
-    Reference enumeration (one MultiIndex at a time); ``_good_sign_sums``
-    recomputes the same set with vectorized bookkeeping.  In
-    "equality" mode the induced partition must equal pi_g exactly; in
-    "compatible" mode it may merge additional slots on top of pi_g.
+    Reference enumeration (one MultiIndex at a time); ``_shift_sum``
+    recomputes the same set with vectorized bookkeeping.
     """
-    if partition_mode not in PARTITION_MODES:
-        raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
     if g.m != m:
         raise ValueError("group element length disagrees with m")
     target = frozenset(
@@ -173,10 +160,7 @@ def good_multiindices(
             ind = induced_partition(P, symmetry_class, n)
         except ValueError:
             continue
-        if partition_mode == "equality":
-            if ind.blocks == target:
-                out.append(P)
-        elif ind.refines_into(target):
+        if ind.blocks == target:
             out.append(P)
     return out
 
@@ -185,10 +169,9 @@ def walk_sign_sums(
     symmetry_class: SymmetryClass,
     n: int,
     m: int,
-    partition_mode: str,
     budget: int = 10**8,
 ) -> int:
-    """``_good_sign_sums`` by enumerating all (2n)^(m-1) row-one walks from
+    """``_shift_sum`` by enumerating all (2n)^(m-1) row-one walks from
     the index 0 on ``class_tables(symmetry_class, n)``, in blocks of 2^13
     walks, and scaling by 2n: the same validity mask, sign product and
     row-two chase, over index walks instead of label shapes."""
@@ -211,10 +194,9 @@ def walk_sign_sums(
         valid = np.ones(len(rem), dtype=bool)
         for l in range(m):
             valid &= c[l] >= 0
-        if partition_mode == "equality":
-            for l in range(m):
-                for l2 in range(l + 1, m):
-                    valid &= c[l] != c[l2]
+        for l in range(m):
+            for l2 in range(l + 1, m):
+                valid &= c[l] != c[l2]
         w = np.nonzero(valid)[0]
         cw = [arr[w] for arr in c]
         d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables

@@ -124,7 +124,7 @@ def test_criterion_4_formula_convergence(exact):
     ns = (2, 3, 4, 5)
     pairs = [(m, mu) for m in range(1, 5) for mu in range(m, 5)]
     vn = {
-        m: exact_finite_n(lambda n, m=m: _exact_cell(CI, n, m, RADEM, "equality", 10**8)[0], m)
+        m: exact_finite_n(lambda n, m=m: _exact_cell(CI, n, m, RADEM, 10**8)[0], m)
         for m in range(1, 5)
     }
     gap = {}

@@ -319,6 +319,25 @@ def test_top_degree_below_one_is_one_message(capsys, subcommand):
     assert (code, out, err) == (1, "", "error: M must be >= 1\n")
 
 
+@pytest.mark.parametrize("argv", (("traces",), ("simulate", "--samples", "10"),
+                                  ("report", "--samples", "10")))
+def test_negative_seed_is_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv, "--class", "CI", "--n", "2", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+
+
+@pytest.mark.parametrize("flag", ("z-max", "odd-ceiling", "rel-window"))
+@pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+def test_grading_thresholds_are_finite_and_nonnegative(capsys, flag, value):
+    """A NaN, infinite or negative threshold is one message, not a report
+    that grades every degree the same way; 0 is a threshold."""
+    argv = ("report", "--class", "CI", "--n", "2", "--samples", "10")
+    code, out, err = run(capsys, *argv, f"--{flag}", value)
+    want = f"error: {flag.replace('-', '_')} must be finite and >= 0\n"
+    assert (code, out, err) == (1, "", want)
+    assert run(capsys, *argv, f"--{flag}", "0")[0] == 0
+
+
 def _no_constant(token):
     raise ValueError(f"non-JSON token {token}")
 
@@ -446,13 +465,14 @@ OVERFLOW_COMMANDS = (
     ("traces", "--class", "CI", "--n", "2", "--sigma", "1e150"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "config",
      "--sigma", "1e150"),
+    ("simulate", "--class", "CI", "--n", "4", "--samples", "100", "--M", "400"),
 )
 
 
 @pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-4:]))
 def test_overflow_is_one_error_line(capsys, argv):
-    """A sigma whose powers overflow a float is one error line and exit 1,
-    with nothing on stdout, not a traceback."""
+    """A sigma or a degree whose powers overflow a float is one error line
+    and exit 1, with nothing on stdout, not a traceback."""
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -23,9 +23,10 @@ from symmwig.covariance import (
     V_asymptotic,
     V_n_exact,
     _bell,
-    _good_sign_sums,
     _label_shapes,
     _member_tables,
+    _shape_sums,
+    _shift_sum,
     cov_cheb_moment_oracle,
     cov_report,
     cov_traces_config_oracle,
@@ -87,10 +88,9 @@ def test_induced_partition_forced_zero():
 
 def test_good_multiindices_small_space_is_empty():
     """At n=2 a DIII m=3 pairing needs three distinct classes but only
-    two exist, so the good set is empty in both modes."""
+    two exist, so the good set is empty."""
     for g in dihedral_group(3):
-        for mode in ("equality", "compatible"):
-            assert good_multiindices(g, DIII, 2, 3, partition_mode=mode) == []
+        assert good_multiindices(g, DIII, 2, 3) == []
 
 
 def test_good_multiindices_content_n3():
@@ -117,21 +117,13 @@ def test_good_multiindices_involution_row_swap():
         assert (rows[1], rows[0]) in keys
 
 
-def test_equality_mode_subsets_compatible():
-    g = dihedral_group(3)[1]
-    eq = {P.rows for P in good_multiindices(g, CI, 2, 3)}
-    comp = {P.rows for P in good_multiindices(g, CI, 2, 3, partition_mode="compatible")}
-    assert eq <= comp
-
-
 @functools.lru_cache(maxsize=None)  # shared by two tests; results are read only
 def _reference_sign_sums(cls, n, m):
-    """Literal sum of sign products over S^good(pi_g), for every g and both
-    partition modes, from one enumeration of the row pairs (p1, p2).
+    """Literal sum of sign products over S^good(pi_g), for every g, from
+    one enumeration of the row pairs (p1, p2).
 
-    A pair is good for g in "compatible" mode when each row-one slot l
-    shares its class with row-two slot g(l), and in "equality" mode when
-    moreover the row-one classes are distinct: the rule of
+    A pair is good for g when each row-one slot l shares its class with
+    row-two slot g(l) and the row-one classes are distinct: the rule of
     good_multiindices, which the test below checks it against.
     """
     dim = 2 * n
@@ -141,56 +133,53 @@ def _reference_sign_sums(cls, n, m):
         for q in range(1, dim + 1)
     }
     group = dihedral_group(m)
-    sums = {(g, mode): 0 for g in group for mode in ("equality", "compatible")}
-    members = {(g, mode): set() for g in group for mode in ("equality", "compatible")}
+    sums = {g: 0 for g in group}
+    members = {g: set() for g in group}
     walks = list(itertools.product(range(1, dim + 1), repeat=m))
     for p1, p2 in itertools.product(walks, walks):
         hits = [hit[p[l], p[(l + 1) % m]] for p in (p1, p2) for l in range(m)]
         if None in hits:
             continue
         one, two = [h[0] for h in hits[:m]], [h[0] for h in hits[m:]]
+        if len(set(one)) < m:
+            continue
         prod = math.prod(h[1] for h in hits)
-        modes = ("equality", "compatible") if len(set(one)) == m else ("compatible",)
         for g in group:
             if all(one[l] == two[g.perm[l] - 1] for l in range(m)):
-                for mode in modes:
-                    sums[g, mode] += prod
-                    members[g, mode].add((p1, p2))
+                sums[g] += prod
+                members[g].add((p1, p2))
     return sums, members
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
 def test_chase_agrees_with_reference_enumeration(cls):
     """The one-pass sign sums (row one from index 0 only, scaled by 2n)
-    equal the literal per-multiindex sums for every g and both modes."""
+    equal the literal per-multiindex sums for every g."""
     for n, m in ((2, 3), (3, 3), (2, 4)):
         want, members = _reference_sign_sums(cls, n, m)
         group = dihedral_group(m)
         # the enumeration above selects what good_multiindices selects
         refl = group[m]
-        good = good_multiindices(refl, cls, n, m, "compatible")
+        good = good_multiindices(refl, cls, n, m)
         assert {tuple(tuple(pair[0] for pair in row) for row in P.rows) for P in good} == (
-            members[refl, "compatible"]
+            members[refl]
         )
-        for mode in ("equality", "compatible"):
-            assert _good_sign_sums(cls, n, m, mode, 10**8) == want[group[0], mode]
-            per_g = cov_report(cls, n, m, GAUSS, mode).per_g
-            assert [t.label for t in per_g] == [str(g) for g in group]
-            assert {g: t.sign_sum for g, t in zip(group, per_g)} == {
-                g: want[g, mode] for g in group
-            }
+        assert _shift_sum(cls, n, m, 10**8) == want[group[0]]
+        per_g = cov_report(cls, n, m, GAUSS).per_g
+        assert [t.label for t in per_g] == [str(g) for g in group]
+        assert {g: t.sign_sum for g, t in zip(group, per_g)} == want
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
 def test_row_one_rotation_maps_good_sets(cls):
     """Rotating row one by one slot maps S^good(pi_g) onto
-    S^good(pi_{g o rho_1}), rho_1(l) = l + 1, in both modes, and
+    S^good(pi_{g o rho_1}), rho_1(l) = l + 1, and
     shift(nu) o rho_1 = shift(nu + 1), refl(nu) o rho_1 = refl(nu + 1).
     So all shift sums agree and all reflection sums agree.
 
     Reversing row two maps S^good(pi_shift(nu)) onto S^good(pi_refl(nu+1))
     as well, and multiplies the row-two sign product by eps^m (eps = -1 in
-    DIII, +1 in CI), which is what lets _good_sign_sums chase shift(0)
+    DIII, +1 in CI), which is what lets _shape_sums chase shift(0)
     only."""
     nonempty = 0
     for n, m in ((2, 3), (3, 3), (2, 4)):
@@ -200,48 +189,38 @@ def test_row_one_rotation_maps_good_sets(cls):
         for g in group:
             g_rho = by_perm[tuple(g(l % m + 1) for l in range(1, m + 1))]
             assert (g_rho.kind, g_rho.nu) == (g.kind, (g.nu + 1) % m)
-            for mode in ("equality", "compatible"):
-                good = members[g, mode]
-                nonempty += bool(good)
-                assert {(p1[1:] + p1[:1], p2) for p1, p2 in good} == members[g_rho, mode]
-                if g.kind == "shift":
-                    refl = group[m + (g.nu + 1) % m]
-                    assert {(p1, p2[::-1]) for p1, p2 in good} == members[refl, mode]
+            good = members[g]
+            nonempty += bool(good)
+            assert {(p1[1:] + p1[:1], p2) for p1, p2 in good} == members[g_rho]
+            if g.kind == "shift":
+                refl = group[m + (g.nu + 1) % m]
+                assert {(p1, p2[::-1]) for p1, p2 in good} == members[refl]
         eps = -1 if cls is DIII else 1
-        for mode in ("equality", "compatible"):
-            for kind in ("shift", "reflection"):
-                assert len({sums[g, mode] for g in group if g.kind == kind}) == 1
-            assert sums[group[m], mode] == eps**m * sums[group[0], mode]
+        for kind in ("shift", "reflection"):
+            assert len({sums[g] for g in group if g.kind == kind}) == 1
+        assert sums[group[m]] == eps**m * sums[group[0]]
     assert nonempty
 
 
 @pytest.mark.parametrize(
-    "cls,mode,n,m,want",
+    "cls,n,m,want",
     [
-        (DIII, "equality", 3, 4, 192),
-        (DIII, "compatible", 3, 4, 768),
-        (CI, "equality", 3, 4, 1536),
-        (CI, "compatible", 3, 4, 2784),
-        (DIII, "equality", 4, 4, 1536),
-        (DIII, "compatible", 4, 4, 3072),
-        (CI, "equality", 4, 4, 5760),
-        (CI, "compatible", 4, 4, 8576),
-        (DIII, "equality", 2, 6, 0),
-        (DIII, "compatible", 2, 6, 512),
-        (CI, "equality", 2, 6, 0),
-        (CI, "compatible", 2, 6, 8448),
-        (DIII, "equality", 3, 6, 0),
-        (DIII, "compatible", 3, 6, 9216),
-        (CI, "equality", 3, 6, 9024),
-        (CI, "compatible", 3, 6, 94080),
+        (DIII, 3, 4, 192),
+        (CI, 3, 4, 1536),
+        (DIII, 4, 4, 1536),
+        (CI, 4, 4, 5760),
+        (DIII, 2, 6, 0),
+        (CI, 2, 6, 0),
+        (DIII, 3, 6, 0),
+        (CI, 3, 6, 9024),
     ],
 )
-def test_good_sign_sums_frozen(cls, mode, n, m, want):
+def test_good_sign_sums_frozen(cls, n, m, want):
     """Sign sums on cells beyond the reference enumeration's reach, frozen
     from a chase that ran every one of the 2m elements separately; every
     element of each cell had the same sum there (m is even, so eps^m = 1)."""
-    assert _good_sign_sums(cls, n, m, mode, 10**8) == want
-    assert [t.sign_sum for t in cov_report(cls, n, m, GAUSS, mode).per_g] == [want] * (2 * m)
+    assert _shift_sum(cls, n, m, 10**8) == want
+    assert [t.sign_sum for t in cov_report(cls, n, m, GAUSS).per_g] == [want] * (2 * m)
 
 
 BELL = (1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
@@ -270,42 +249,59 @@ def test_label_shapes_are_the_restricted_growth_strings(m):
 
 def test_shape_sums_equal_walk_sums():
     """The shape pass gives the walk enumeration's integer on every cell of
-    both classes and both modes with m <= 6, n <= 10 and at most 2 10^5
-    row-one walks."""
+    both classes with m <= 6, n <= 10 and at most 2 10^5 row-one walks."""
     cells = 0
-    for cls, mode, m, n in itertools.product(
-        (DIII, CI), ("equality", "compatible"), range(1, 7), range(1, 11)
-    ):
+    for cls, m, n in itertools.product((DIII, CI), range(1, 7), range(1, 11)):
         if (cls, n) == (DIII, 1) or (2 * n) ** (m - 1) > 2 * 10**5:
             continue
-        assert _good_sign_sums(cls, n, m, mode, 10**8) == walk_sign_sums(cls, n, m, mode)
+        assert _shift_sum(cls, n, m, 10**8) == walk_sign_sums(cls, n, m)
         cells += 1
-    assert cells == 208
+    assert cells == 104
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
-@pytest.mark.parametrize("mode", ("equality", "compatible"))
 @pytest.mark.parametrize("m", (3, 5, 7))
 @pytest.mark.parametrize("n", (2, 9, 64))
-def test_odd_degree_sign_sums_vanish(cls, mode, m, n):
+def test_odd_degree_sign_sums_vanish(cls, m, n):
     """Swapping the blocks of row one alone multiplies its sign product by
     (-1)^m and keeps every class, so S = -S at odd m."""
-    assert _good_sign_sums(cls, n, m, mode, 10**8) == 0
+    assert _shift_sum(cls, n, m, 10**8) == 0
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("m", range(3, 9))
+def test_shape_sums_carry_the_limit(cls, m):
+    """V_n = 2m S(n) / (2n)^m at sigma = 1 (eps^m = 1 at even m), and the
+    leading term of S(n) = 2n sum_k (n-1)_(k-1) a_k is 2 a_m n^m, so V_n
+    tends to 4m a_m / 2^m: a_m = 2^m is the limit 4m of ``V_asymptotic``.
+    At odd m, S(n) = 0 at every n, and the falling factorials are a basis,
+    so every a_k is 0."""
+    a = _shape_sums(cls, m, 10**8)
+    assert len(a) == m
+    if m % 2:
+        assert a == (0,) * m
+    else:
+        assert a[-1] == 2**m
+        assert V_asymptotic(cls, m, GAUSS) == (4 * m * a[-1] / 2**m, "theorem")
+    pinned = {(DIII, 8): (0, 0, 0, 2592, 16320, 16640, 4096, 256),
+              (CI, 6): (0, 0, 752, 2016, 768, 64)}
+    if (cls, m) in pinned:
+        assert a == pinned[cls, m]
 
 
 @pytest.mark.parametrize("cls,want", ((CI, 8376847847424), (DIII, 7621096218624)))
 def test_shift_sum_at_n64_m6(cls, want):
     """m = 6 at the desk size n = 64: CI agrees with the polynomial
     interpolated from n = 2..8 of the walk enumeration."""
-    assert _good_sign_sums(cls, 64, 6, "equality", 10**8) == want
+    assert _shift_sum(cls, 64, 6, 10**8) == want
 
 
 def test_n64_m6_costs_under_a_second():
-    """Both classes and both modes at n = 64, m = 6 take 4 * 6496 shape
-    walks, well under one second together."""
+    """Both classes at n = 64, m = 6 take 2 * 6496 shape walks, well under
+    one second together."""
     start = time.perf_counter()
-    for cls, mode in itertools.product((DIII, CI), ("equality", "compatible")):
-        V_n_exact(cls, 64, 6, GAUSS, mode)
+    for cls in (DIII, CI):
+        V_n_exact(cls, 64, 6, GAUSS)
     assert time.perf_counter() - start < 1.0
 
 
@@ -314,7 +310,7 @@ def test_m8_at_n64_memory_is_bounded():
     traced allocations stay under 16 MiB at n = 64."""
     tracemalloc.start()
     try:
-        S = _good_sign_sums(CI, 64, 8, "equality", 10**8)
+        S = _shift_sum(CI, 64, 8, 10**8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,7 +320,7 @@ def test_m8_at_n64_memory_is_bounded():
 
 def test_size_is_validated():
     with pytest.raises(ValueError, match="degenerate"):
-        _good_sign_sums(DIII, 1, 4, "equality", 10**8)
+        _shift_sum(DIII, 1, 4, 10**8)
     with pytest.raises(ValueError, match="n must be positive"):
         V_n_exact(CI, 0, 4, GAUSS)
 
@@ -419,11 +415,6 @@ def test_v_n_budget_counts_row_one_walks():
     assert [BELL[m - 1] * 2 ** (m - 1) for m in (4, 5, 6, 8)] == [120, 832, 6496, 529920]
 
 
-def test_partition_mode_validated():
-    with pytest.raises(ValueError):
-        V_n_exact(DIII, 3, 3, GAUSS, partition_mode="nonsense")
-
-
 # -- oracle cross-validation ---------------------------------------------------
 
 
@@ -515,7 +506,7 @@ def test_cov_report_m4():
     assert rep.gap == abs(rep.v_n - 16.0)
     assert len(rep.per_g) == 8
     assert math.fsum(t.value for t in rep.per_g) == pytest.approx(rep.v_n, abs=1e-12)
-    shift_sum = _good_sign_sums(DIII, 3, 4, "equality", 10**8)
+    shift_sum = _shift_sum(DIII, 3, 4, 10**8)
     assert sum(t.sign_sum for t in rep.per_g) == 4 * (1 + (-1) ** 4) * shift_sum
     kinds = {t.kind for t in rep.per_g}
     assert kinds == {"shift", "reflection"}
@@ -545,10 +536,10 @@ def test_sigma_scaling_property(cls, n, m, sigma):
 
 def exact_rational(cls, n, m, sigma2):
     """V_n of the Gaussian law at sigma2 as a Fraction, with the per-element
-    values for m >= 3, built from ``_good_sign_sums`` and ``class_tables``."""
+    values for m >= 3, built from ``_shift_sum`` and ``class_tables``."""
     unit, dim, s2 = -1 if cls is DIII else 1, 2 * n, Fraction(sigma2)
     if m >= 3:
-        shift = _good_sign_sums(cls, n, m, "equality", 10**8) * (unit * s2 / dim) ** m
+        shift = _shift_sum(cls, n, m, 10**8) * (unit * s2 / dim) ** m
         per = {"shift": shift, "reflection": unit**m * shift}
         return m * (per["shift"] + per["reflection"]), per
     cls_id, sign = class_tables(cls, n)
@@ -585,9 +576,8 @@ def test_exact_values_round_once(sigma2):
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
-@pytest.mark.parametrize("mode", ("equality", "compatible"))
 @pytest.mark.parametrize("sigma2", (1.0, 0.49, 1.69))
-def test_v_n_exact_is_cov_report_v_n(cls, mode, sigma2):
+def test_v_n_exact_is_cov_report_v_n(cls, sigma2):
     model = EntryModel.gaussian(sigma2)
     for n, m in itertools.product((2, 3), range(1, 7)):
-        assert V_n_exact(cls, n, m, model, mode) == cov_report(cls, n, m, model, mode).v_n
+        assert V_n_exact(cls, n, m, model) == cov_report(cls, n, m, model).v_n
