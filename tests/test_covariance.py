@@ -283,10 +283,31 @@ def test_shape_sums_carry_the_limit(cls, m):
     else:
         assert a[-1] == 2**m
         assert V_asymptotic(cls, m, GAUSS) == (4 * m * a[-1] / 2**m, "theorem")
-    pinned = {(DIII, 8): (0, 0, 0, 2592, 16320, 16640, 4096, 256),
-              (CI, 6): (0, 0, 752, 2016, 768, 64)}
-    if (cls, m) in pinned:
-        assert a == pinned[cls, m]
+
+
+@pytest.mark.parametrize(
+    "cls,m,want",
+    [
+        (DIII, 3, (0, 0, 0)),
+        (CI, 3, (0, 0, 0)),
+        (DIII, 4, (0, 0, 16, 16)),
+        (CI, 4, (0, 48, 80, 16)),
+        (DIII, 5, (0,) * 5),
+        (CI, 5, (0,) * 5),
+        (DIII, 6, (0, 0, 0, 288, 384, 64)),
+        (CI, 6, (0, 0, 752, 2016, 768, 64)),
+        (DIII, 7, (0,) * 7),
+        (CI, 7, (0,) * 7),
+        (DIII, 8, (0, 0, 0, 2592, 16320, 16640, 4096, 256)),
+        (CI, 8, (0, 0, 5888, 69792, 106944, 44288, 6144, 256)),
+    ],
+)
+def test_shape_sums_frozen(cls, m, want):
+    """The integer polynomial of every dihedral cell, m = 3..8.  Frozen by
+    interpolating the n-dependent chase that preceded the shape split at
+    n = 1..m+2: S(n) = 2n sum_k (n-1)_(k-1) a_k held at every one of those
+    n, more points than the m unknowns."""
+    assert _shape_sums(cls, m, 10**8) == want
 
 
 @pytest.mark.parametrize("cls,want", ((CI, 8376847847424), (DIII, 7621096218624)))
