@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import math
 import os
@@ -42,6 +41,8 @@ from .ensemble import (
 )
 from .montecarlo import (
     SimulationConfig,
+    _blas_threads,
+    _check_thresholds,
     clt_report,
     run_simulation,
     theory_vector,
@@ -55,31 +56,10 @@ VARIANCE_MODES = ("exact", "asymptotic", "oracle")
 ORACLE_KINDS = ("config", "moment")
 
 
-def _blas_threads() -> Optional[int]:
-    """OpenBLAS's own thread count, asked through numpy's loaded library;
-    None when no OpenBLAS thread query can be found."""
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:
-        from numpy.core import _multiarray_umath as core
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
-        return None
-    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.argtypes = []
-            fn.restype = ctypes.c_int
-            return int(fn())
-    return None
-
-
 def _environment() -> dict:
     """Python, numpy and BLAS behind a run, the BLAS thread count outside
-    a run, and whether run_simulation pins BLAS to one thread (it can only
-    when threadpoolctl imports)."""
+    a run, and whether run_simulation pins BLAS to one thread (it can
+    wherever numpy's OpenBLAS thread functions were found)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
@@ -402,14 +382,10 @@ def _cmd_simulate(values: dict) -> int:
 
 
 def _cmd_report(values: dict) -> int:
+    thresholds = {k.replace("-", "_"): values[k] for k in ("z-max", "odd-ceiling", "rel-window")}
+    _check_thresholds(**thresholds)  # a bad threshold fails before sampling
     config, result, theory = _simulation(values)
-    report = clt_report(
-        result,
-        theory,
-        z_max=values["z-max"],
-        odd_ceiling=values["odd-ceiling"],
-        rel_window=values["rel-window"],
-    )
+    report = clt_report(result, theory, **thresholds)
     rows = [
         ["var", r.degree, None, r.var_est, r.var_se, r.theory, r.flag, r.z, r.k3, r.k4, r.passed, r.note]
         for r in report.rows

@@ -47,18 +47,14 @@ block-wide draw would give, and memory does not grow with the sample count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - an install pulls it in; src/ on PYTHONPATH may lack it
-    threadpool_limits = None  # then run_simulation leaves the BLAS thread count alone
 
 from .covariance import V_asymptotic
 from .ensemble import (
@@ -86,6 +82,44 @@ __all__ = [
 
 N_BLOCKS = 100  # fixed work/seed/jackknife unit
 SUB_BATCH_ENTRIES = 2**16  # matrix entries per stack in one kernel call
+
+
+def _openblas_thread_calls():
+    """numpy's OpenBLAS get_num_threads and set_num_threads, through ctypes;
+    without OpenBLAS (an MKL or BLIS build), a get of None and a no-op set."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        lib = None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                           ("openblas_", "64_"), ("openblas_", "")):
+        calls = [getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+                 for verb in ("get", "set")]
+        if None not in calls:
+            return calls  # int(void) and void(int): ctypes' defaults fit
+    return (lambda: None), (lambda count: None)
+
+
+_blas_threads, _set_blas_threads = _openblas_thread_calls()  # once per process
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread inside, the caller's count back on exit."""
+    before = _blas_threads()
+    _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)
+
+
+# the name stays because perfbench/run.py reads it to report the pin
+threadpool_limits = None if _blas_threads() is None else _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -349,10 +383,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     Work is split into N_BLOCKS fixed blocks regardless of parallelism;
     block b draws from the seed stream (seed, b) and the reduction merges
     blocks in index order, so the output is bit-identical at any worker
-    count.  At parallelism p > 1 the blocks run in min(p, blocks) worker
-    processes forked inside the BLAS pin, so every worker inherits it; no
-    worker outlives the call.  Where fork is unavailable, they run
-    in-process.
+    count.  The whole run holds numpy's OpenBLAS at one thread, so that no
+    worker oversubscribes the cores, and gives the caller's count back at
+    the end, also when a block raises (no pin where numpy has no OpenBLAS).
+    At parallelism p > 1 the blocks run in min(p, blocks) worker processes
+    forked inside that pin, so every worker inherits it; no worker outlives
+    the call.  Where fork is unavailable, they run in-process.
     Every block accumulates about one shift, the first trace vector of
     block 0, computed before the blocks start: merging and leaving one block
     out stay plain sums, and a coordinate that is constant bit for bit
@@ -371,10 +407,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         lo = hi
     workers = min(config.parallelism, B)
 
-    # Pin the BLAS pool once for the whole run: keeps gemm reduction
-    # order fixed so results cannot depend on machine-level threading.
-    pin = threadpool_limits(limits=1) if threadpool_limits else nullcontext()
-    with pin:
+    with _one_blas_thread():
         shift = _first_trace(config, layout)
         fork = _fork_context() if workers > 1 else None
         if fork is None:
@@ -522,6 +555,14 @@ def _zscore(est: float, target: float, se: float) -> float:
     return (est - target) / se
 
 
+def _check_thresholds(z_max: float, odd_ceiling: float, rel_window: float) -> None:
+    """Raise ValueError unless every grading threshold is finite and >= 0."""
+    for name, value in (("z_max", z_max), ("odd_ceiling", odd_ceiling),
+                        ("rel_window", rel_window)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
+
+
 def clt_report(
     result: SimulationResult,
     theory: Sequence[tuple[float, str]],
@@ -546,10 +587,7 @@ def clt_report(
     z-score against 0 is reported regardless.  Each threshold must be
     finite and >= 0.
     """
-    for name, value in (("z_max", z_max), ("odd_ceiling", odd_ceiling),
-                        ("rel_window", rel_window)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0")
+    _check_thresholds(z_max, odd_ceiling, rel_window)
     est = result.estimates
     M = result.config.M
     if len(theory) != M:

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from symmwig import cli
 from symmwig.cli import _SUBCOMMANDS, dispatch, load_config
 from symmwig.covariance import V_n_exact
 from symmwig.ensemble import EntryModel, SymmetryClass
@@ -336,6 +337,16 @@ def test_grading_thresholds_are_finite_and_nonnegative(capsys, flag, value):
     want = f"error: {flag.replace('-', '_')} must be finite and >= 0\n"
     assert (code, out, err) == (1, "", want)
     assert run(capsys, *argv, f"--{flag}", "0")[0] == 0
+
+
+def test_bad_threshold_is_rejected_before_sampling(capsys, monkeypatch):
+    def no_sampling(config):
+        raise AssertionError("sampled before the thresholds were checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_sampling)
+    code, out, err = run(capsys, "report", "--class", "CI", "--n", "64", "--samples", "10000",
+                         "--z-max", "nan")
+    assert (code, out, err) == (1, "", "error: z_max must be finite and >= 0\n")
 
 
 def _no_constant(token):

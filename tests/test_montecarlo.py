@@ -281,6 +281,41 @@ def test_no_worker_outlives_the_run(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(montecarlo._blas_threads() is None, reason="numpy has no OpenBLAS")
+def test_run_simulation_pins_blas_to_one_thread(monkeypatch):
+    """Every trace, in-process and in forked workers, runs with OpenBLAS at
+    one thread, whatever the caller set; the caller's count comes back after
+    the run, also when a block raises."""
+    trace_vectors = montecarlo._trace_vectors
+
+    def checked(*args):
+        threads = montecarlo._blas_threads()
+        if threads != 1:
+            raise RuntimeError(f"traced with {threads} BLAS threads")
+        return trace_vectors(*args)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(montecarlo, "_trace_vectors", checked)
+    before = montecarlo._blas_threads()
+    montecarlo._set_blas_threads(2)
+    try:
+        for parallelism in (1, 2):
+            run_simulation(SimulationConfig(DIII, 4, samples=300, seed=2, parallelism=parallelism))
+            assert montecarlo._blas_threads() == 2
+
+        def failing(config, block, *args):
+            raise RuntimeError(f"block {block} failed")
+
+        monkeypatch.setattr(montecarlo, "_run_block", failing)
+        for parallelism in (1, 2):
+            with pytest.raises(RuntimeError, match=r"^block \d+ failed$"):
+                run_simulation(SimulationConfig(DIII, 4, samples=300, seed=2,
+                                                parallelism=parallelism))
+            assert montecarlo._blas_threads() == 2
+    finally:
+        montecarlo._set_blas_threads(before)
+
+
 def test_block_split_covers_all_samples():
     for samples in (7, 100, 257):
         res = run_simulation(SimulationConfig(CI, 3, samples=samples, seed=1, M=2))
