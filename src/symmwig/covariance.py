@@ -42,6 +42,7 @@ signs cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +75,7 @@ __all__ = [
 
 # -- good-set sign sums by label shapes ------------------------------------------
 
-_WALK_CHUNK = 1 << 13  # shape walks per block; bounds the pass's memory
+_PREFIX_CHUNK = 1 << 12  # prefixes one expansion may make; bounds the pass's memory
 
 
 def _bell(m: int) -> int:
@@ -86,20 +87,6 @@ def _bell(m: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[-1]
-
-
-def _label_shapes(m: int) -> np.ndarray:
-    """Every restricted-growth string of length m, one row each, in
-    lexicographic order: row[0] = 0 and row[l] <= 1 + max(row[:l])."""
-    rows = np.zeros((1, 1), dtype=np.int64)
-    top = np.zeros(1, dtype=np.int64)
-    for _ in range(m - 1):
-        width = top + 2  # the next label is one of 0..top+1
-        parent = np.repeat(np.arange(len(rows)), width)
-        label = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        rows = np.column_stack([rows[parent], label])
-        top = np.maximum(top[parent], label)
-    return rows
 
 
 def _member_tables(cls_id: np.ndarray, sign: np.ndarray):
@@ -134,13 +121,22 @@ def _shape_sums(symmetry_class: SymmetryClass, m: int, budget: int) -> tuple[int
     p mod n and the block p // n.  A shape is the restricted-growth string
     of the labels of p_0..p_{m-1} (labels numbered by first appearance, so
     p_0 has label 0) together with the blocks of p_1..p_{m-1}; p_0 = 0
-    sits in the top block.  Each shape walk is evaluated once on
-    ``class_tables(symmetry_class, max(m, 2))``: its classes, the validity
-    mask and the row-one sign products are built in blocks of
-    ``_WALK_CHUNK`` walks to bound memory, and the row-two chase starts from
-    each of the (at most four) admissible starting indices of the first
-    slot's class.  a_k is the sum over the shapes with k distinct labels,
-    at the cost of Bell(m) 2^(m-1) walks; the budget counts them.
+    sits in the top block.  Shape walks are evaluated on
+    ``class_tables(symmetry_class, max(m, 2))``, and a_k is the sum over
+    the shapes with k distinct labels.  The budget counts the Bell(m)
+    2^(m-1) shape walks, although the pass evaluates fewer: it grows row
+    one from index 0 slot by slot, the next label being one of 0..top+1
+    (top the largest label so far) in either block, and drops a prefix as
+    soon as its newest slot's class is a forced zero or repeats an earlier
+    slot's.  Every completion of such a prefix has that slot too, so it is
+    not good and adds nothing: the pruning is exact.  A prefix set whose
+    expansion would pass ``_PREFIX_CHUNK`` is split in two first, to bound
+    memory.  Each full walk is closed by slot m-1 -> index 0, and the
+    row-two chase starts from each of the (at most four) admissible starting
+    indices of the first slot's class.  The a_k are integer sums, so the
+    order of the walks does not change them.  The pass runs at most once
+    per (class, m) in a process, and its a_k serve every n after it; the
+    budget is checked on every call, before that cache is read.
 
     Proof of the shape sum.  The walks of row one from index 0 with a given
     shape are its images under the injective relabellings tau of the k
@@ -195,38 +191,55 @@ def _shape_sums(symmetry_class: SymmetryClass, m: int, budget: int) -> tuple[int
     n_walks = _bell(m) << (m - 1)
     if n_walks > budget:
         raise BudgetError(f"{n_walks} shape walks exceed budget {budget}")
-    shapes = _label_shapes(m)
-    n_labels = shapes.max(axis=1) + 1  # k, the distinct labels of each shape
+    return _shape_pass(symmetry_class, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_pass(symmetry_class: SymmetryClass, m: int) -> tuple[int, ...]:
+    """The pruned pass of ``_shape_sums``, cached per (class, m)."""
     width = max(m, 2)  # labels of the tables; a shape has at most m
     cls_id, sign = class_tables(symmetry_class, width)
     dim = 2 * width
     q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
     q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
-    # a[k]: the sum over shapes with k labels; row-two slot j carries
-    # row-one slot j's class
-    a = np.zeros(m + 1, dtype=np.int64)
-    for lo in range(0, n_walks, _WALK_CHUNK):
-        t = np.arange(lo, min(lo + _WALK_CHUNK, n_walks))
-        shape = t >> (m - 1)
-        # p_l = label + width * block; bit l - 1 of t is the block of p_l
-        cols = [np.zeros(len(t), dtype=np.int64)]
-        for l in range(1, m):
-            cols.append(shapes[shape, l] + width * ((t >> (l - 1)) & 1))
-        c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
-        valid = np.ones(len(t), dtype=bool)
-        for l in range(m):
-            valid &= c[l] >= 0
-            for l2 in range(l + 1, m):
-                valid &= c[l] != c[l2]
-        w = np.nonzero(valid)[0]
-        cw = [arr[w] for arr in c]
-        d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
-        s1 = np.ones(len(w), dtype=np.int64)
-        for l in range(m):
-            s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
+    a = np.zeros(m + 1, dtype=np.int64)  # a[k]: the sum over shapes with k labels
+    # prefixes p_0..p_l of row one, p_0 = 0: the last index p_l, the top
+    # label, the classes of slots 0..l-1 and their sign product
+    stack = [(np.zeros(1, np.int64), np.zeros(1, np.int64),
+              np.zeros((1, 0), cls_id.dtype), np.ones(1, np.int64))]
+    while stack:
+        prefix = stack.pop()
+        last, top, cls, s1 = prefix
+        if cls.shape[1] == m - 1:  # close the walk: slot m-1 runs to index 0
+            parent = np.arange(len(last))
+            label = nxt = np.zeros_like(last)
+        else:
+            fan = 2 * (top + 2)  # the next label is one of 0..top+1, in either block
+            if len(last) > 1 and fan.sum() > _PREFIX_CHUNK:
+                h = len(last) // 2
+                stack += [tuple(x[h:] for x in prefix), tuple(x[:h] for x in prefix)]
+                continue
+            parent = np.repeat(np.arange(len(last)), fan)
+            j = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+            label = j >> 1
+            nxt = label + width * (j & 1)  # p = label + width * block
+        src = last[parent]
+        c = cls_id[src, nxt]
+        keep = c >= 0  # drop forced zeros and repeated classes
+        for col in cls.T:
+            keep &= col[parent] != c
+        idx = np.flatnonzero(keep)
+        parent, src, nxt = parent[idx], src[idx], nxt[idx]
+        grown = np.column_stack([cls[parent], c[idx]])
+        top = np.maximum(top[parent], label[idx])
+        s1 = s1[parent] * sign[src, nxt]
+        if grown.shape[1] < m:
+            stack.append((nxt, top, grown, s1))
+            continue
         # row two starts at any member of its first class; each start
         # fixes the rest of the row, and only live walks are carried
-        starts = member_p[cw[0]]
+        d = grown.T.astype(np.int64) * dim  # class rows of the tables, by slot
+        starts = member_p[grown[:, 0]]
         walk, k = np.nonzero(starts >= 0)
         v0 = starts[walk, k]
         flat = d[0][walk] + v0
@@ -236,9 +249,12 @@ def _shape_sums(symmetry_class: SymmetryClass, m: int, budget: int) -> tuple[int
             flat = d[j][walk] + v
             v = q_by_p[flat]
             live = v >= 0
-            walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
+            if live.all():  # the usual case after the first few slots
+                s2 = s2 * s_by_p[flat]
+            else:
+                walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
         closed = v == v0  # cyclic closure of row two
-        np.add.at(a, n_labels[shape[w[walk[closed]]]], s2[closed])
+        np.add.at(a, top[walk[closed]] + 1, s2[closed])
     return tuple(int(x) for x in a[1:])
 
 

@@ -7,7 +7,10 @@ enumerate one multi-index at a time.  ``symmwig.covariance._shift_sum``
 computes the same good sets over label shapes, and the tests check it
 against them and against ``walk_sign_sums``, which enumerates every
 row-one index walk.  ``class_of`` is the signed class rule in closed form,
-the reference for ``symmwig.ensemble.class_tables``.
+the reference for ``symmwig.ensemble.class_tables``.  ``label_shapes``
+lists the label shapes whole, and ``shape_walk_sums`` evaluates every
+shape walk with no pruning: the reference for ``_shape_sums``, whose pass
+grows the walks slot by slot and whose budget counts them all.
 """
 from __future__ import annotations
 
@@ -165,6 +168,59 @@ def good_multiindices(
     return out
 
 
+def label_shapes(m: int) -> np.ndarray:
+    """Every restricted-growth string of length m, one row each, in
+    lexicographic order: row[0] = 0 and row[l] <= 1 + max(row[:l])."""
+    rows = np.zeros((1, 1), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
+        width = top + 2  # the next label is one of 0..top+1
+        parent = np.repeat(np.arange(len(rows)), width)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        rows = np.column_stack([rows[parent], label])
+        top = np.maximum(top[parent], label)
+    return rows
+
+
+def _good_pair_signs(cls_id, sign, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The good row pairs of the row-one walks whose slot-l indices are
+    ``cols[l]``, on the tables ``cls_id, sign``: the validity mask, the
+    sign product and the row-two chase of ``_shape_sums``, unpruned.
+    Returns each good pair's walk (a position in ``cols``) and sign."""
+    m, dim = len(cols), len(cls_id)
+    q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
+    q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
+    c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
+    valid = np.ones(len(cols[0]), dtype=bool)
+    for l in range(m):
+        valid &= c[l] >= 0
+    for l in range(m):
+        for l2 in range(l + 1, m):
+            valid &= c[l] != c[l2]
+    w = np.nonzero(valid)[0]
+    cw = [arr[w] for arr in c]
+    d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
+    s1 = np.ones(len(w), dtype=np.int64)
+    for l in range(m):
+        s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
+    # row two starts at any member of its first class; each start
+    # fixes the rest of the row, and only live walks are carried;
+    # row-two slot j carries row-one slot j's class
+    starts = member_p[cw[0]]
+    walk, k = np.nonzero(starts >= 0)
+    v0 = starts[walk, k]
+    flat = d[0][walk] + v0
+    s2 = s1[walk] * s_by_p[flat]
+    v = q_by_p[flat]
+    for j in range(1, m):
+        flat = d[j][walk] + v
+        v = q_by_p[flat]
+        live = v >= 0
+        walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
+    closed = v == v0  # cyclic closure of row two
+    return w[walk[closed]], s2[closed]
+
+
 def walk_sign_sums(
     symmetry_class: SymmetryClass,
     n: int,
@@ -181,40 +237,36 @@ def walk_sign_sums(
     if n_walks > budget:
         raise BudgetError(f"{dim}^{m - 1} row-one walks exceed budget {budget}")
     cls_id, sign = class_tables(symmetry_class, n)
-    q_by_p, s_by_p, member_p = _member_tables(cls_id, sign)
-    q_by_p, s_by_p = q_by_p.ravel(), s_by_p.ravel()
-    total = 0  # row-two slot j carries row-one slot j's class
+    total = 0
     for lo in range(0, n_walks, chunk):
         rem = np.arange(lo, min(lo + chunk, n_walks))
         cols = [np.zeros(len(rem), dtype=np.int32)]
         for _ in range(m - 1):
             cols.append((rem % dim).astype(np.int32))
             rem //= dim
-        c = [cls_id[cols[l], cols[(l + 1) % m]] for l in range(m)]
-        valid = np.ones(len(rem), dtype=bool)
-        for l in range(m):
-            valid &= c[l] >= 0
-        for l in range(m):
-            for l2 in range(l + 1, m):
-                valid &= c[l] != c[l2]
-        w = np.nonzero(valid)[0]
-        cw = [arr[w] for arr in c]
-        d = [x.astype(np.int64) * dim for x in cw]  # class rows of the tables
-        s1 = np.ones(len(w), dtype=np.int64)
-        for l in range(m):
-            s1 *= sign[cols[l][w], cols[(l + 1) % m][w]]
-        # row two starts at any member of its first class; each start
-        # fixes the rest of the row, and only live walks are carried
-        starts = member_p[cw[0]]
-        walk, k = np.nonzero(starts >= 0)
-        v0 = starts[walk, k]
-        flat = d[0][walk] + v0
-        s2 = s1[walk] * s_by_p[flat]
-        v = q_by_p[flat]
-        for j in range(1, m):
-            flat = d[j][walk] + v
-            v = q_by_p[flat]
-            live = v >= 0
-            walk, v0, v, s2 = walk[live], v0[live], v[live], s2[live] * s_by_p[flat[live]]
-        total += int(np.sum(s2[v == v0]))  # cyclic closure of row two
+        total += int(np.sum(_good_pair_signs(cls_id, sign, cols)[1]))
     return dim * total
+
+
+def shape_walk_sums(symmetry_class: SymmetryClass, m: int) -> tuple[int, ...]:
+    """``_shape_sums`` with no pruning: every one of the Bell(m) 2^(m-1)
+    shape walks, built whole from ``label_shapes`` and a block bit per slot
+    1..m-1, in blocks of 2^13 walks, evaluated on
+    ``class_tables(symmetry_class, max(m, 2))``, its good pairs' signs
+    summed by the shape's label count k."""
+    chunk = 1 << 13
+    width = max(m, 2)
+    cls_id, sign = class_tables(symmetry_class, width)
+    shapes = label_shapes(m)
+    n_labels = shapes.max(axis=1) + 1
+    n_walks = len(shapes) << (m - 1)
+    a = np.zeros(m + 1, dtype=np.int64)
+    for lo in range(0, n_walks, chunk):
+        t = np.arange(lo, min(lo + chunk, n_walks))
+        shape = t >> (m - 1)
+        # p_l = label + width * block; bit l - 1 of t is the block of p_l
+        cols = [np.zeros(len(t), dtype=np.int64)]
+        cols += [shapes[shape, l] + width * ((t >> (l - 1)) & 1) for l in range(1, m)]
+        walk, s2 = _good_pair_signs(cls_id, sign, cols)
+        np.add.at(a, n_labels[shape[walk]], s2)
+    return tuple(int(x) for x in a[1:])

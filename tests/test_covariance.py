@@ -16,15 +16,18 @@ from multiindex import (
     enumerate_consistent_multiindices,
     good_multiindices,
     induced_partition,
+    label_shapes,
+    shape_walk_sums,
     walk_sign_sums,
 )
+from symmwig import covariance
 from symmwig.covariance import (
     BudgetError,
     V_asymptotic,
     V_n_exact,
     _bell,
-    _label_shapes,
     _member_tables,
+    _shape_pass,
     _shape_sums,
     _shift_sum,
     cov_cheb_moment_oracle,
@@ -231,7 +234,7 @@ def test_label_shapes_are_the_restricted_growth_strings(m):
     """Bell(m) rows, p_0's label first, each label at most one above the
     largest before it, in lexicographic order; up to m = 6 they are
     exactly the restricted-growth strings among all m^m label strings."""
-    shapes = _label_shapes(m)
+    shapes = label_shapes(m)
     assert _bell(m) == len(shapes) == BELL[m - 1]
     assert shapes.shape == (BELL[m - 1], m)
     assert np.all(shapes[:, 0] == 0)
@@ -260,6 +263,15 @@ def test_shape_sums_equal_walk_sums():
 
 
 @pytest.mark.parametrize("cls", (DIII, CI))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pruning_keeps_every_shape_sum(cls, m):
+    """The pass that drops a prefix at its first forced zero or repeated
+    class gives every a_k of the unpruned pass over all Bell(m) 2^(m-1)
+    shape walks."""
+    assert _shape_sums(cls, m, 10**8) == shape_walk_sums(cls, m)
+
+
+@pytest.mark.parametrize("cls", (DIII, CI))
 @pytest.mark.parametrize("m", (3, 5, 7))
 @pytest.mark.parametrize("n", (2, 9, 64))
 def test_odd_degree_sign_sums_vanish(cls, m, n):
@@ -268,14 +280,16 @@ def test_odd_degree_sign_sums_vanish(cls, m, n):
     assert _shift_sum(cls, n, m, 10**8) == 0
 
 
-@pytest.mark.parametrize("cls", (DIII, CI))
-@pytest.mark.parametrize("m", range(3, 9))
-def test_shape_sums_carry_the_limit(cls, m):
+@pytest.mark.parametrize(
+    "m,cls", [(m, cls) for m in range(3, 9) for cls in (DIII, CI)] + [(9, DIII), (10, DIII)]
+)
+def test_shape_sums_carry_the_limit(m, cls):
     """V_n = 2m S(n) / (2n)^m at sigma = 1 (eps^m = 1 at even m), and the
     leading term of S(n) = 2n sum_k (n-1)_(k-1) a_k is 2 a_m n^m, so V_n
     tends to 4m a_m / 2^m: a_m = 2^m is the limit 4m of ``V_asymptotic``.
     At odd m, S(n) = 0 at every n, and the falling factorials are a basis,
-    so every a_k is 0."""
+    so every a_k is 0.  CI at m = 9 and 10 (about 8 s) is checked by a CI
+    workflow step instead."""
     a = _shape_sums(cls, m, 10**8)
     assert len(a) == m
     if m % 2:
@@ -300,13 +314,15 @@ def test_shape_sums_carry_the_limit(cls, m):
         (CI, 7, (0,) * 7),
         (DIII, 8, (0, 0, 0, 2592, 16320, 16640, 4096, 256)),
         (CI, 8, (0, 0, 5888, 69792, 106944, 44288, 6144, 256)),
+        (DIII, 10, (0, 0, 0, 0, 352768, 1241600, 1039360, 293120, 30720, 1024)),
     ],
 )
 def test_shape_sums_frozen(cls, m, want):
     """The integer polynomial of every dihedral cell, m = 3..8.  Frozen by
     interpolating the n-dependent chase that preceded the shape split at
     n = 1..m+2: S(n) = 2n sum_k (n-1)_(k-1) a_k held at every one of those
-    n, more points than the m unknowns."""
+    n, more points than the m unknowns.  DIII m = 10 is frozen from the
+    unpruned shape pass that preceded the pruned one."""
     assert _shape_sums(cls, m, 10**8) == want
 
 
@@ -319,7 +335,8 @@ def test_shift_sum_at_n64_m6(cls, want):
 
 def test_n64_m6_costs_under_a_second():
     """Both classes at n = 64, m = 6 take 2 * 6496 shape walks, well under
-    one second together."""
+    one second together, with the passes run afresh."""
+    _shape_pass.cache_clear()
     start = time.perf_counter()
     for cls in (DIII, CI):
         V_n_exact(cls, 64, 6, GAUSS)
@@ -327,8 +344,10 @@ def test_n64_m6_costs_under_a_second():
 
 
 def test_m8_at_n64_memory_is_bounded():
-    """529 920 shape walks at m = 8 run in blocks of 2^13, so the pass's
-    traced allocations stay under 16 MiB at n = 64."""
+    """The m = 8 pass (529 920 shape walks) expands at most 2^12 prefixes
+    at a time, so its traced allocations stay under 16 MiB at n = 64; the
+    pass is run afresh, not read from the cache."""
+    _shape_pass.cache_clear()
     tracemalloc.start()
     try:
         S = _shift_sum(CI, 64, 8, 10**8)
@@ -337,6 +356,41 @@ def test_m8_at_n64_memory_is_bounded():
         tracemalloc.stop()
     assert S > 0
     assert peak < 16 * 2**20
+
+
+def test_second_n_runs_no_pass(monkeypatch):
+    """The a_k of a (class, m) serve every n after the first: V_n_exact and
+    cov_report at other n build no tables and run no pass."""
+    built = []
+
+    def counting_tables(cls, n):
+        built.append((cls, n))
+        return class_tables(cls, n)
+
+    monkeypatch.setattr(covariance, "class_tables", counting_tables)
+    _shape_pass.cache_clear()
+    first = V_n_exact(CI, 4, 5, GAUSS)
+    assert built == [(CI, 5)]
+    assert V_n_exact(CI, 6, 5, GAUSS) == first == 0.0
+    report = cov_report(CI, 8, 5, GAUSS)
+    assert built == [(CI, 5)]
+    assert _shape_pass.cache_info().misses == 1
+    assert report.v_n == 0.0 and len(report.per_g) == 10
+
+
+def test_budget_is_checked_before_the_cache():
+    """A (class, m) already in the cache still raises the budget's error,
+    with the same message, and an n that is not valid is still rejected."""
+    a = _shape_sums(DIII, 6, 10**8)
+    assert _shape_sums(DIII, 6, 6496) == a
+    reads = _shape_pass.cache_info().hits
+    with pytest.raises(BudgetError, match=r"^6496 shape walks exceed budget 6495$"):
+        _shape_sums(DIII, 6, 6495)
+    with pytest.raises(BudgetError, match=r"^6496 shape walks exceed budget 6495$"):
+        V_n_exact(DIII, 9, 6, GAUSS, budget=6495)
+    with pytest.raises(ValueError, match="degenerate"):
+        _shift_sum(DIII, 1, 6, 10**8)
+    assert _shape_pass.cache_info().hits == reads  # none of them read the cache
 
 
 def test_size_is_validated():
