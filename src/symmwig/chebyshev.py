@@ -58,11 +58,11 @@ def trace_cheb_vector(X, M: int, sigma: float) -> np.ndarray:
     """(Tr T_m(X, sigma))_{m=1..M} via the matrix recurrence.
 
     Accepts a dense Hermitian ndarray, or a stack of them of shape
-    (..., dim, dim), giving traces of shape (..., M).  Imaginary
-    residue beyond 1e-9 * dim in any trace of a complex input signals
-    broken Hermiticity and raises, as does a non-finite input; a real input
-    has none.  An overflow raises OverflowError.  The stacks of the
-    recurrence are allocated once per call.
+    (..., dim, dim), giving traces of shape (..., M).  A non-finite input
+    raises, and so does a member that differs from its conjugate transpose
+    by more than 1e-12 of its largest |entry|, once, before the recurrence.
+    An overflow raises OverflowError.  The stacks of the recurrence are
+    allocated once per call.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -74,6 +74,10 @@ def trace_cheb_vector(X, M: int, sigma: float) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(X).all():
         raise ValueError("matrix has non-finite entries")
+    with np.errstate(over="ignore"):  # a difference that overflows is not Hermitian
+        skew = np.abs(X - X.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+        if (skew > 1e-12 * np.abs(X).max(axis=(-2, -1), initial=0.0)).any():
+            raise ValueError("matrix is not Hermitian to 1e-12 of its largest entry")
     return _recurrence_traces(X, M, sigma, [np.empty_like(X) for _ in range(_stack_count(M))])
 
 
@@ -84,7 +88,7 @@ def _stack_count(M: int) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the traces
 def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.ndarray:
-    """``trace_cheb_vector`` on a checked square float or complex stack X.
+    """``trace_cheb_vector`` on a checked square Hermitian stack X, float or complex.
 
     T_{m+1} = X T_m - sigma^2 T_{m-1} runs in up to three rotating stacks,
     stacks[0..2], with sigma^2 T_{m-1} in the scratch stack stacks[-1];
@@ -97,21 +101,11 @@ def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.
     s2 = sigma * sigma
     prev = 2.0 * np.eye(dim, dtype=X.dtype)  # T_0, broadcast over the stack
     cur = X  # T_1
-    complex_input = np.iscomplexobj(X)
-    tol = 1e-9 * dim
     for m in range(1, M + 1):
         np.trace(cur, axis1=-2, axis2=-1, out=tr)
         if not np.isfinite(tr).all():
             raise OverflowError(f"trace of degree {m} overflows a float")
-        if complex_input:
-            residue = np.max(np.abs(tr.imag), initial=0.0)
-            if residue > tol:
-                raise ValueError(
-                    f"trace of degree {m} has imaginary part {residue:.3e}; input not Hermitian"
-                )
-            out[..., m - 1] = tr.real
-        else:
-            out[..., m - 1] = tr
+        out[..., m - 1] = tr.real
         if m < M:
             # neither prev nor cur is the stack written here
             nxt = stacks[(m - 1) % 3]

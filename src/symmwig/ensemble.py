@@ -196,9 +196,9 @@ class EntryModel:
                 raise ValueError("atom probabilities must be nonnegative and sum to 1")
             mean = sum(v * p for v, p in self.atoms)
             var = sum(v * v * p for v, p in self.atoms)
-            if abs(mean) > 1e-12:
+            if abs(mean) > 1e-12 * max(abs(v) for v, p in self.atoms if p > 0):
                 raise ValueError("atoms must be centered")
-            if abs(var - self.sigma2) > 1e-9 * max(1.0, self.sigma2):
+            if abs(var - self.sigma2) > 1e-9 * self.sigma2:
                 raise ValueError("atom second moment must equal sigma2")
         elif self.atoms is not None:
             raise ValueError("atom list only valid for the atoms family")

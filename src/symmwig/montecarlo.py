@@ -142,8 +142,8 @@ class SimulationConfig:
             object.__setattr__(
                 self, "symmetry_class", SymmetryClass.parse(self.symmetry_class)
             )
-        if self.samples < 2:
-            raise ValueError("need at least 2 samples")
+        if self.samples < 3:  # every jackknife replicate keeps 2 samples
+            raise ValueError("need at least 3 samples")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         _check_size(self.symmetry_class, self.n)
@@ -455,10 +455,10 @@ def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates
     """Mean, unbiased covariance, standardized k3/k4, and their
     leave-one-block-out jackknife SEs, from the per-block accumulators.
 
-    Empty blocks are skipped; at least two must hold samples.  A merged
-    sum that is not finite raises OverflowError.  Constant
-    coordinates get exact-zero covariance rows and not-applicable (NaN)
-    higher cumulants.
+    Empty blocks are skipped; at least two must hold samples, and leaving
+    out any one block must leave at least two.  A merged sum that is not
+    finite raises OverflowError.  Constant coordinates get exact-zero
+    covariance rows and not-applicable (NaN) higher cumulants.
     """
     blocks = [a for a in blocks if a.count > 0]
     if len(blocks) < 2:
@@ -466,6 +466,8 @@ def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates
     total = blocks[0]
     for b in blocks[1:]:
         total = merge(total, b)
+    if total.count - max(b.count for b in blocks) < 2:
+        raise ValueError("leaving out a block leaves fewer than 2 samples")
     if not all(np.isfinite(x).all() for x in (total.s1, total.s2, total.s3, total.s4, total.cross)):
         raise OverflowError("the moment sums overflow a float")
     mean, cov, k3, k4 = _point_estimates(total)

@@ -87,6 +87,24 @@ def test_broken_hermiticity_detected():
         trace_cheb_vector(X + 1j * np.eye(2), 4, 1.0)
 
 
+def test_real_non_symmetric_matrix_raises():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_cheb_vector(np.array([[0.0, 1.0], [0.0, 0.0]]), 4, 1.0)
+
+
+@pytest.mark.parametrize("n, sigma, M", ((4, 1000.0, 6), (8, 30.0, 8)))
+def test_diii_traces_far_from_unit_scale(n, sigma, M):
+    """Hermitian DIII input is accepted at any scale: its traces match the
+    eigenvalue evaluation relative to sigma^m dim, although the rounding
+    residue of the complex recurrence grows like sigma^m."""
+    sample = sample_matrix(SymmetryClass.DIII, n, EntryModel.parse("gaussian", sigma), seed=2)
+    eigs = np.linalg.eigvalsh(sample)
+    traces = trace_cheb_vector(sample, M, sigma)
+    for m in range(1, M + 1):
+        want = cheb_coefficients(m, sigma).evaluate(eigs).sum()
+        assert abs(traces[m - 1] - want) <= 1e-12 * sigma**m * sample.shape[-1], m
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(min_value=2, max_value=10),

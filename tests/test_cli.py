@@ -383,6 +383,27 @@ def test_traces_runs(capsys):
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
 
 
+def test_traces_of_hermitian_diii_input_run_at_large_sigma(capsys):
+    """DIII input is Hermitian by construction; at sigma = 1000 the
+    rounding residue of its traces is large in absolute terms, and the
+    command still prints every degree."""
+    code, out, err = run(
+        capsys, "traces", "--class", "DIII", "--n", "4", "--sigma", "1000", "--M", "6",
+        "--seed", "2",
+    )
+    assert (code, err) == (0, "")
+    assert [r[0] for r in rows_of(out)[1:]] == ["1", "2", "3", "4", "5", "6"]
+
+
+@pytest.mark.parametrize("subcommand", ("simulate", "report"))
+def test_two_samples_is_one_message(capsys, subcommand):
+    """Two samples make one-sample jackknife blocks, whose leave-one-out
+    covariances divide by zero: rejected before sampling."""
+    code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--samples", "2",
+                         "--seed", "1")
+    assert (code, out, err) == (1, "", "error: need at least 3 samples\n")
+
+
 def test_atoms_family_accepted(capsys):
     code, out, _ = run(
         capsys, "variance", "--class", "CI", "--m", "2", "--mode", "exact",

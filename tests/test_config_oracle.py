@@ -145,6 +145,17 @@ def test_skewed_values_unchanged(cls, n):
         assert got == float.fromhex(value) and got.hex() == value, (m, mu)
 
 
+def test_diii_oracles_agree_far_from_unit_scale():
+    """The recurrence's rounding residue grows like sigma^m; at sigma = 100
+    the DIII configuration oracle still runs, and it agrees with the moment
+    oracle, 21.09375 sigma^12."""
+    model = EntryModel.parse("rademacher", 100.0)
+    got = cov_traces_config_oracle(DIII, 4, 6, 6, model)
+    want = covariance.cov_cheb_moment_oracle(DIII, 4, 6, 6, model)
+    assert want == pytest.approx(21.09375e24, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_rademacher_table_memory_is_bounded():
     """CI n = 4 under Rademacher entries keeps 2^15 evaluated matrices at
     16 bytes each; the traced allocations stay under 4 MiB."""

@@ -264,6 +264,18 @@ def test_entry_model_rejects_bad_atoms(atoms, message):
         EntryModel.from_atoms(atoms)
 
 
+def test_atom_moments_are_judged_at_the_law_scale():
+    """The mean is compared to the largest atom value and the second moment
+    to sigma2, so a law and its rescaling get the same verdict."""
+    family = "atoms:-300000.0:0.1,33333.333333333336:0.9"  # the mean rounds to 3.6e-12
+    assert EntryModel.parse(family).sigma2 == pytest.approx(1e10)
+    assert EntryModel.parse("atoms:-3.0:0.1,0.33333333333333337:0.9").sigma2 == pytest.approx(1.0)
+    small = ((-1e-5, 0.5), (1e-5, 0.5))  # second moment 1e-10
+    with pytest.raises(ValueError, match="second moment"):
+        EntryModel(family="atoms", sigma2=1e-12, atoms=small)
+    assert EntryModel(family="atoms", sigma2=1e-10, atoms=small).sigma2 == 1e-10
+
+
 @pytest.mark.parametrize("sigma2", (0.0, -1.0, float("nan"), float("inf")))
 def test_entry_model_rejects_bad_scale(sigma2):
     with pytest.raises(ValueError, match="sigma2"):

@@ -28,6 +28,8 @@ DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
 def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(CI, 4, samples=1)
+    with pytest.raises(ValueError, match="need at least 3 samples"):
+        SimulationConfig(CI, 2, samples=2)  # a jackknife replicate keeps 2 samples
     with pytest.raises(ValueError):
         SimulationConfig(CI, 4, M=0)
     with pytest.raises(ValueError):
@@ -416,6 +418,22 @@ def test_fewer_than_two_blocks_with_samples_is_an_error():
     est = estimate_cumulants([a, MomentAccumulator(2), b])
     assert est.count == 80
     assert np.array_equal(est.cov_se, estimate_cumulants([a, b]).cov_se)
+
+
+def test_jackknife_replicates_need_two_samples():
+    """Leaving out a block must leave two samples for the covariance's
+    N - 1: two one-sample blocks, or a one-sample block beside a full one,
+    raise instead of giving NaN replicates and a standard error of 0."""
+    rng = np.random.default_rng(3)
+    one = [MomentAccumulator(2) for _ in range(3)]
+    for acc in one:
+        acc.add_batch(rng.normal(size=(1, 2)))
+    full = MomentAccumulator(2)
+    full.add_batch(rng.normal(size=(40, 2)))
+    for blocks in (one[:2], [full, one[0]]):
+        with pytest.raises(ValueError, match="fewer than 2 samples"):
+            estimate_cumulants(blocks)
+    assert estimate_cumulants(one).count == 3
 
 
 def test_degenerate_coordinate_handling():
