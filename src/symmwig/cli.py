@@ -110,10 +110,6 @@ def _to_int(raw: str) -> int:
         raise ValueError(f"expected an integer, got {raw!r}")
 
 
-def _to_class(raw: str) -> SymmetryClass:
-    return SymmetryClass.parse(raw)
-
-
 def _choice(*allowed: str) -> Callable[[str], str]:
     def conv(raw: str) -> str:
         if raw not in allowed:
@@ -121,10 +117,6 @@ def _choice(*allowed: str) -> Callable[[str], str]:
         return raw
 
     return conv
-
-
-def _to_delta(raw: str) -> DeltaMatrix:
-    return DeltaMatrix.from_string(raw)
 
 
 def _to_family(raw: str) -> str:
@@ -416,7 +408,7 @@ _OUT_OPT = _Opt("out", str, help="write the table here (plus .json/.manifest.jso
 _SIGMA_OPT = _Opt("sigma", _to_float, help="entry scale (default 1; an atoms: law has its own)")
 
 _SIMULATE_OPTS = [
-    _Opt("class", _to_class, required=True),
+    _Opt("class", SymmetryClass.parse, required=True),
     _Opt("n", _to_int, required=True),
     _SIGMA_OPT,
     _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
@@ -429,7 +421,7 @@ _SIMULATE_OPTS = [
 # name -> (handler, description, options); handlers take the resolved values
 _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
     "classes": (_cmd_classes, "list the signed entry equivalence classes", [
-        _Opt("class", _to_class, required=True, help="symmetry class, DIII or CI"),
+        _Opt("class", SymmetryClass.parse, required=True, help="symmetry class, DIII or CI"),
         _Opt("n", _to_int, required=True, help="half block size (matrices are 2n x 2n)"),
         _OUT_OPT,
     ]),
@@ -442,11 +434,12 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
             help="chaining condition",
         ),
         _Opt("filter", _choice(*FILTERS), default="all", help="count filter"),
-        _Opt("first-delta", _to_delta, help="pin the first offset matrix, e.g. 01/10"),
+        _Opt("first-delta", DeltaMatrix.from_string,
+             help="pin the first offset matrix, e.g. 01/10"),
         _OUT_OPT,
     ]),
     "variance": (_cmd_variance, "finite-n or limiting variance of a Chebyshev trace", [
-        _Opt("class", _to_class, required=True),
+        _Opt("class", SymmetryClass.parse, required=True),
         _Opt("m", _to_int, required=True, help="Chebyshev degree"),
         _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic"),
         _Opt("n", _to_int, help="required for exact/oracle modes"),
@@ -457,7 +450,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _OUT_OPT,
     ]),
     "oracle": (_cmd_oracle, "exact covariance of two Chebyshev traces, by enumeration", [
-        _Opt("class", _to_class, required=True),
+        _Opt("class", SymmetryClass.parse, required=True),
         _Opt("n", _to_int, required=True),
         _Opt("m", _to_int, required=True, help="first Chebyshev degree"),
         _Opt("mu", _to_int, required=True, help="second Chebyshev degree"),
@@ -472,7 +465,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _OUT_OPT,
     ]),
     "traces": (_cmd_traces, "Chebyshev traces of a single sampled matrix", [
-        _Opt("class", _to_class, required=True),
+        _Opt("class", SymmetryClass.parse, required=True),
         _Opt("n", _to_int, required=True),
         _Opt("seed", _to_int, default=0),
         _SIGMA_OPT,

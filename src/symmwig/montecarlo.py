@@ -146,6 +146,8 @@ class SimulationConfig:
             raise ValueError("need at least 3 samples")
         if self.M < 1:
             raise ValueError("M must be >= 1")
+        if self.M > 512:  # the block sums hold 100 M x M floats, 200 MiB at 512
+            raise ValueError("M must be <= 512")
         _check_size(self.symmetry_class, self.n)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -191,6 +193,11 @@ class MomentAccumulator:
         self.s4 += np.multiply(d2, d2, out=d2).sum(axis=0)
 
 
+def _sums(acc: MomentAccumulator) -> tuple:
+    """s1..s4 and cross, in the constructor's order."""
+    return acc.s1, acc.s2, acc.s3, acc.s4, acc.cross
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the merged sums
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combine two accumulators; equals accumulating both streams."""
@@ -198,10 +205,8 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
         raise ValueError("accumulator shapes disagree")
     if not np.array_equal(a.shift, b.shift):
         raise ValueError("accumulator shifts disagree")
-    return MomentAccumulator(
-        a.M, a.count + b.count, a.s1 + b.s1, a.s2 + b.s2,
-        a.s3 + b.s3, a.s4 + b.s4, a.cross + b.cross, a.shift,
-    )
+    sums = (x + y for x, y in zip(_sums(a), _sums(b)))
+    return MomentAccumulator(a.M, a.count + b.count, *sums, a.shift)
 
 
 @dataclass(frozen=True)
@@ -430,21 +435,23 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 # -- estimation ------------------------------------------------------------------
 
 
-def _point_estimates(acc: MomentAccumulator):
-    # central moments from the sums about the shift; d is the mean's
-    # distance from the shift
-    N = acc.count
-    d = acc.s1 / N
-    mean = acc.shift + d
-    cov = (acc.cross - N * np.outer(d, d)) / (N - 1)
-    m2 = acc.s2 / N - d**2
-    m3 = acc.s3 / N - 3 * d * acc.s2 / N + 2 * d**3
-    m4 = (
-        acc.s4 / N
-        - 4 * d * acc.s3 / N
-        + 6 * d**2 * acc.s2 / N
-        - 3 * d**4
-    )
+def _point_estimates(count, s1, s2, s3, s4, cross, shift):
+    """Mean, covariance, k3 and k4 from the sums about ``shift``: of one run
+    (an int count), or of B replicates at once (a (B,) count and a leading
+    axis B on every sum).  The covariances overwrite ``cross``."""
+    # central moments; d is the mean's distance from the shift
+    N = np.asarray(count)[..., None]
+    d = s1 / N
+    mean = shift + d
+    # d_i d_j over a stack of d_i, so that numpy buffers one operand, not two
+    dd = np.repeat(d[..., :, None], d.shape[-1], axis=-1)
+    dd *= d[..., None, :]
+    dd *= N[..., None]
+    cov = np.subtract(cross, dd, out=cross)
+    cov /= N[..., None] - 1
+    m2 = s2 / N - d**2
+    m3 = s3 / N - 3 * d * s2 / N + 2 * d**3
+    m4 = s4 / N - 4 * d * s3 / N + 6 * d**2 * s2 / N - 3 * d**4
     with np.errstate(divide="ignore", invalid="ignore"):
         k3 = np.where(m2 > 0, m3 / np.maximum(m2, 1e-300) ** 1.5, np.nan)
         k4 = np.where(m2 > 0, m4 / np.maximum(m2, 1e-300) ** 2 - 3.0, np.nan)
@@ -468,31 +475,24 @@ def estimate_cumulants(blocks: Sequence[MomentAccumulator]) -> CumulantEstimates
         total = merge(total, b)
     if total.count - max(b.count for b in blocks) < 2:
         raise ValueError("leaving out a block leaves fewer than 2 samples")
-    if not all(np.isfinite(x).all() for x in (total.s1, total.s2, total.s3, total.s4, total.cross)):
+    sums = _sums(total)
+    if not all(np.isfinite(x).all() for x in sums):
         raise OverflowError("the moment sums overflow a float")
-    mean, cov, k3, k4 = _point_estimates(total)
-
-    B = len(blocks)
-    covs = np.empty((B,) + cov.shape)
-    k3s = np.empty((B, total.M))
-    k4s = np.empty((B, total.M))
-    for i, blk in enumerate(blocks):
-        rest = MomentAccumulator(
-            total.M,
-            total.count - blk.count,
-            total.s1 - blk.s1,
-            total.s2 - blk.s2,
-            total.s3 - blk.s3,
-            total.s4 - blk.s4,
-            total.cross - blk.cross,
-            total.shift,
-        )
-        _, covs[i], k3s[i], k4s[i] = _point_estimates(rest)
-    fac = (B - 1) / B
+    # replicate i is the merged sums less block i's, one stack per sum, and
+    # one call values all of them
+    rest = [np.stack(part) for part in zip(*map(_sums, blocks))]
+    for whole, part in zip(sums, rest):
+        np.subtract(whole, part, out=part)
+    n_rest = total.count - np.array([b.count for b in blocks])
+    mean, cov, k3, k4 = _point_estimates(total.count, *sums, total.shift)
+    _, covs, k3s, k4s = _point_estimates(n_rest, *rest, total.shift)
+    fac = (len(blocks) - 1) / len(blocks)
 
     def jse(samples, center):
-        dev = samples - center
-        return np.sqrt(fac * np.nansum(dev * dev, axis=0))
+        # the replicates are spent: their deviations overwrite them
+        dev = np.subtract(samples, center, out=samples)
+        dev *= dev
+        return np.sqrt(fac * np.nansum(dev, axis=0))
 
     def nan_center(samples):
         # column-wise mean ignoring NaN, 0 where a column is all NaN

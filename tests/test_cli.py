@@ -115,6 +115,22 @@ def test_missing_required_flag(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classes", "--class", "AI", "--n", "2"),
+     "--class: unknown symmetry class 'AI' (expected DIII or CI)"),
+    (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "0/1"),
+     "--first-delta: expected 'ab/cd' with binary digits, got '0/1'"),
+    (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "02/10"),
+     "--first-delta: expected 'ab/cd' with binary digits, got '02/10'"),
+])
+def test_class_and_delta_are_parsed_by_their_own_rules(capsys, argv, message):
+    """--class and --first-delta go through SymmetryClass.parse and
+    DeltaMatrix.from_string, and their messages reach one error line."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_budget_error_exits_2(capsys):
     code, _, err = run(
         capsys, "oracle", "--class", "DIII", "--n", "6",
@@ -318,6 +334,13 @@ def test_oracles_reject_degrees_below_one(capsys, argv):
 def test_top_degree_below_one_is_one_message(capsys, subcommand):
     code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--M", "0")
     assert (code, out, err) == (1, "", "error: M must be >= 1\n")
+
+
+@pytest.mark.parametrize("subcommand", ("simulate", "report"))
+def test_top_degree_above_512_is_one_message(capsys, subcommand):
+    """An M whose block sums would exhaust memory is refused before sampling."""
+    code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--M", "5000")
+    assert (code, out, err) == (1, "", "error: M must be <= 512\n")
 
 
 @pytest.mark.parametrize("argv", (("traces",), ("simulate", "--samples", "10"),

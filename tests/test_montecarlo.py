@@ -11,6 +11,7 @@ from symmwig.chebyshev import trace_cheb_vector
 from symmwig.ensemble import EntryModel, SymmetryClass, block_layout, derive_rng
 from symmwig.montecarlo import (
     N_BLOCKS,
+    CumulantEstimates,
     MomentAccumulator,
     SimulationConfig,
     SimulationResult,
@@ -32,6 +33,8 @@ def test_config_validation():
         SimulationConfig(CI, 2, samples=2)  # a jackknife replicate keeps 2 samples
     with pytest.raises(ValueError):
         SimulationConfig(CI, 4, M=0)
+    with pytest.raises(ValueError, match="M must be <= 512"):
+        SimulationConfig(CI, 4, M=513)  # 100 block cross sums of M x M floats
     with pytest.raises(ValueError):
         SimulationConfig(CI, 0)
     with pytest.raises(ValueError):
@@ -469,6 +472,88 @@ def test_shifted_sums_keep_a_constant_coordinate_exact():
     assert math.isnan(est.k3[0]) and math.isnan(est.k4[0])
     with pytest.raises(ValueError):
         merge(blocks[0], MomentAccumulator(2))
+
+
+def _loop_estimates(blocks):
+    """The jackknife one replicate at a time: an accumulator of the merged
+    sums less one block, and one point estimate of it, per replicate."""
+
+    def point(acc):
+        N = acc.count
+        d = acc.s1 / N
+        cov = (acc.cross - N * np.outer(d, d)) / (N - 1)
+        m2 = acc.s2 / N - d**2
+        m3 = acc.s3 / N - 3 * d * acc.s2 / N + 2 * d**3
+        m4 = acc.s4 / N - 4 * d * acc.s3 / N + 6 * d**2 * acc.s2 / N - 3 * d**4
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k3 = np.where(m2 > 0, m3 / np.maximum(m2, 1e-300) ** 1.5, np.nan)
+            k4 = np.where(m2 > 0, m4 / np.maximum(m2, 1e-300) ** 2 - 3.0, np.nan)
+        return acc.shift + d, cov, k3, k4
+
+    blocks = [a for a in blocks if a.count > 0]
+    total = blocks[0]
+    for b in blocks[1:]:
+        total = merge(total, b)
+    mean, cov, k3, k4 = point(total)
+    reps = [
+        point(MomentAccumulator(
+            total.M, total.count - b.count, total.s1 - b.s1, total.s2 - b.s2,
+            total.s3 - b.s3, total.s4 - b.s4, total.cross - b.cross, total.shift,
+        ))[1:]
+        for b in blocks
+    ]
+    covs, k3s, k4s = (np.array(r) for r in zip(*reps))
+    fac = (len(blocks) - 1) / len(blocks)
+
+    def jse(samples, center):
+        dev = samples - center
+        return np.sqrt(fac * np.nansum(dev * dev, axis=0))
+
+    def nan_center(samples):
+        filled = np.where(np.isnan(samples), 0.0, samples)
+        return filled.sum(axis=0) / np.maximum((~np.isnan(samples)).sum(axis=0), 1)
+
+    return CumulantEstimates(
+        count=total.count, mean=mean, cov=cov, cov_se=jse(covs, covs.mean(axis=0)),
+        k3=k3, k3_se=np.where(np.isnan(k3), np.nan, jse(k3s, nan_center(k3s))),
+        k4=k4, k4_se=np.where(np.isnan(k4), np.nan, jse(k4s, nan_center(k4s))),
+    )
+
+
+def _assert_same_bytes(est, ref):
+    assert est.count == ref.count
+    for f in ("mean", "cov", "cov_se", "k3", "k3_se", "k4", "k4_se"):
+        got, want = getattr(est, f), getattr(ref, f)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f
+
+
+def test_jackknife_matches_the_per_replicate_loop_byte_for_byte():
+    """The stacked replicates value every estimate to the bit of the
+    replicate-at-a-time loop: on blocks of unequal sizes with an empty one,
+    a constant coordinate (NaN k3 and k4), a coordinate constant at -31.36
+    with the shift there, a constant coordinate off its shift, and a
+    skewed one."""
+    rng = np.random.default_rng(5)
+    shift = np.array([0.25, 0.0, -31.36, 0.0, 1.0])
+    blocks = []
+    for b in range(12):
+        acc = MomentAccumulator(5, shift=shift)
+        if b != 7:  # block 7 stays empty
+            x = rng.normal(size=(20 + 3 * b, 5))
+            x[:, 1] = 0.0
+            x[:, 2] = -31.36
+            x[:, 3] = 0.7
+            x[:, 4] = rng.exponential(size=len(x))
+            acc.add_batch(x)
+        blocks.append(acc)
+    est = estimate_cumulants(blocks)
+    assert math.isnan(est.k3[1]) and math.isnan(est.k4_se[2])
+    _assert_same_bytes(est, _loop_estimates(blocks))
+
+
+def test_run_jackknife_matches_the_per_replicate_loop_byte_for_byte():
+    result = run_simulation(SimulationConfig(CI, 4, samples=600, M=6, seed=8))
+    _assert_same_bytes(result.estimates, _loop_estimates(result.blocks))
 
 
 @pytest.mark.parametrize("cls", (CI, DIII))
