@@ -251,14 +251,14 @@ def _cmd_classes(values: dict) -> int:
 
 
 def _patterns_closed_form(m: int, condition: str, filt: str, pinned: bool) -> Optional[int]:
+    if pinned:  # each of the eight digits heads 2^(m-2) chains once m >= 2
+        return 2 ** (m - 2) if m >= 2 and filt in ("all", "tau-realizable") else None
     if filt == "all":
         return 2 ** (m + 1)
     if condition == "forward" and filt == "identical-rows":
         return 2**m
     if condition == "forward" and filt == "identical-rows-alpha1":
         return 2 ** (m - 1)
-    if filt == "tau-realizable" and pinned:
-        return 2 ** (m - 2)
     return None
 
 
@@ -374,7 +374,7 @@ def _cmd_simulate(values: dict) -> int:
 
 
 def _cmd_report(values: dict) -> int:
-    thresholds = {k.replace("-", "_"): values[k] for k in ("z-max", "odd-ceiling", "rel-window")}
+    thresholds = {k.replace("-", "_"): values[k] for k in ("z-max", "rel-window")}
     _check_thresholds(**thresholds)  # a bad threshold fails before sampling
     config, result, theory = _simulation(values)
     report = clt_report(result, theory, **thresholds)
@@ -476,7 +476,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
     "report": (_cmd_report, "simulate, then grade against the limiting covariance", [
         *_SIMULATE_OPTS,
         _Opt("z-max", _to_float, default=3.0, help="z threshold"),
-        _Opt("odd-ceiling", _to_float, default=0.5, help="variance ceiling, odd degrees"),
         _Opt("rel-window", _to_float, default=0.10, help="finite-size allowance, even degrees"),
         _OUT_OPT,
     ]),

@@ -547,7 +547,6 @@ class CLTReport:
     max_offdiag_z: float
     passed: bool
     z_max: float
-    odd_ceiling: float
     rel_window: float
 
 
@@ -557,10 +556,9 @@ def _zscore(est: float, target: float, se: float) -> float:
     return (est - target) / se
 
 
-def _check_thresholds(z_max: float, odd_ceiling: float, rel_window: float) -> None:
+def _check_thresholds(z_max: float, rel_window: float) -> None:
     """Raise ValueError unless every grading threshold is finite and >= 0."""
-    for name, value in (("z_max", z_max), ("odd_ceiling", odd_ceiling),
-                        ("rel_window", rel_window)):
+    for name, value in (("z_max", z_max), ("rel_window", rel_window)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0")
 
@@ -569,15 +567,14 @@ def clt_report(
     result: SimulationResult,
     theory: Sequence[tuple[float, str]],
     z_max: float = 3.0,
-    odd_ceiling: float = 0.5,
     rel_window: float = 0.10,
 ) -> CLTReport:
     """Grade a simulation against the limiting covariance, degree by degree.
 
     theory[m-1] is (value, flag) for degree m, as produced by V_asymptotic.
-    Degree 1 must be exactly zero; odd degrees >= 3 are graded by an
-    absolute ceiling on the variance (their limit is a point mass, so a
-    relative error against 0 means nothing). Even degrees pass when
+    Every odd degree must be exactly zero: both classes are
+    conjugation-odd, so each odd trace vanishes in every sample, and the
+    sampler emits exact zeros for it.  Even degrees pass when
     |var - theory| <= rel_window * theory + z_max * se: the variance
     estimator is consistent for the finite-n variance, not for the limit,
     so the pass band must absorb the finite-size gap as well as sampling
@@ -586,10 +583,11 @@ def clt_report(
     finite-size term of their own (nonzero at every n the exact oracles
     reach), so they get the same allowance on the correlation scale:
     |cov| <= rel_window * sqrt(|theory_m * theory_mu|) + z_max * se.  Their
-    z-score against 0 is reported regardless.  Each threshold must be
-    finite and >= 0.
+    z-score against 0 is reported regardless.  A pair with an odd member
+    has theory 0 and se 0, so its band is 0 and it, too, must be exactly
+    zero.  Each threshold must be finite and >= 0.
     """
-    _check_thresholds(z_max, odd_ceiling, rel_window)
+    _check_thresholds(z_max, rel_window)
     est = result.estimates
     M = result.config.M
     if len(theory) != M:
@@ -604,14 +602,10 @@ def clt_report(
         k3se = float(est.k3_se[m - 1])
         k4 = float(est.k4[m - 1])
         k4se = float(est.k4_se[m - 1])
-        if m == 1:
+        if m % 2 == 1:
             ok = var == 0.0
-            z = _zscore(var, 0.0, 0.0)
+            z = _zscore(var, 0.0, se)
             note = "identically zero"
-        elif m % 2 == 1:
-            ok = var <= odd_ceiling
-            z = math.nan
-            note = f"absolute ceiling {odd_ceiling}"
         else:
             z = _zscore(var, tval, se)
             band = rel_window * abs(tval) + z_max * se
@@ -635,7 +629,6 @@ def clt_report(
         max_offdiag_z=max((abs(p.z) for p in offdiag), default=0.0),
         passed=all_pass,
         z_max=z_max,
-        odd_ceiling=odd_ceiling,
         rel_window=rel_window,
     )
 

@@ -46,12 +46,10 @@ class DeltaMatrix(NamedTuple):
     def from_string(cls, text: str) -> "DeltaMatrix":
         """Parse compact "ab/cd" notation, e.g. "01/10"."""
         parts = text.strip().split("/")
-        if len(parts) != 2 or any(len(p) != 2 for p in parts):
+        digits = "".join(parts)
+        if len(parts) != 2 or any(len(p) != 2 for p in parts) or set(digits) - set("01"):
             raise ValueError(f"expected 'ab/cd' with binary digits, got {text!r}")
-        bits = tuple(int(ch) for ch in parts[0] + parts[1])
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"expected 'ab/cd' with binary digits, got {text!r}")
-        return cls(*bits)
+        return cls(*map(int, digits))
 
     def __str__(self) -> str:
         return f"{self.alpha}{self.beta}/{self.gamma}{self.delta}"

