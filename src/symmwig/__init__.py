@@ -21,15 +21,8 @@ from .patterns import (
     enumerate_delta_sequences,
     per_g_leading_term,
 )
-from .covariance import (
-    CovReport,
-    V_asymptotic,
-    V_n_exact,
-    cov_cheb_moment_oracle,
-    cov_report,
-    cov_traces_config_oracle,
-    cov_traces_moment_oracle,
-)
+from .covariance import CovReport, V_asymptotic, V_n_exact, cov_report
+from .oracles import cov_cheb_moment_oracle, cov_traces_config_oracle
 from .montecarlo import (
     CLTPair,
     CLTReport,
@@ -68,7 +61,6 @@ __all__ = [
     "cov_cheb_moment_oracle",
     "cov_report",
     "cov_traces_config_oracle",
-    "cov_traces_moment_oracle",
     "CLTPair",
     "CLTReport",
     "MomentAccumulator",

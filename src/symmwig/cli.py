@@ -24,17 +24,12 @@ import numpy as np
 
 from . import __version__
 from .chebyshev import trace_cheb_vector
-from .covariance import (
-    BudgetError,
-    V_asymptotic,
-    V_n_exact,
-    cov_cheb_moment_oracle,
-    cov_traces_config_oracle,
-)
+from .covariance import V_asymptotic, V_n_exact
 from .ensemble import (
     EntryModel,
     ScaleMismatch,
     SymmetryClass,
+    _check_size,
     _to_float,
     build_equivalence_classes,
     sample_matrix,
@@ -48,11 +43,12 @@ from .montecarlo import (
     theory_vector,
     threadpool_limits,
 )
-from .patterns import CONDITIONS, FILTERS, DeltaMatrix, enumerate_delta_sequences
+from .oracles import cov_cheb_moment_oracle, cov_traces_config_oracle
+from .patterns import CONDITIONS, FILTERS, BudgetError, DeltaMatrix, enumerate_delta_sequences
 
 SCHEMA = "symmwig/1"
 
-VARIANCE_MODES = ("exact", "asymptotic", "oracle")
+VARIANCE_MODES = ("exact", "asymptotic")
 ORACLE_KINDS = ("config", "moment")
 
 
@@ -108,6 +104,13 @@ def _to_int(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"expected an integer, got {raw!r}")
+
+
+def _to_budget(raw: str) -> int:
+    value = _to_int(raw)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {raw!r}")
+    return value
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -280,16 +283,14 @@ def _cmd_variance(values: dict) -> int:
     model = EntryModel.parse(values["family"], values["sigma"])
     budget = {} if values["budget"] is None else {"budget": values["budget"]}
     n = values["n"]
+    if n is not None:
+        _check_size(cls, n)
     if mode == "asymptotic":
         value, flag = V_asymptotic(cls, m, model)
     else:
         if n is None:
             raise ValueError(f"--n is required for mode {mode!r}")
-        if mode == "exact":
-            value = V_n_exact(cls, n, m, model, **budget)
-        else:
-            value = cov_cheb_moment_oracle(cls, n, m, m, model, **budget)
-        flag = "finite-n"
+        value, flag = V_n_exact(cls, n, m, model, **budget), "finite-n"
     rows = [[cls.value, n, m, value, mode, flag]]
     header = ["class", "n", "m", "value", "mode", "flag"]
     _emit("variance", values, header, rows)
@@ -438,15 +439,17 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
              help="pin the first offset matrix, e.g. 01/10"),
         _OUT_OPT,
     ]),
-    "variance": (_cmd_variance, "finite-n or limiting variance of a Chebyshev trace", [
+    "variance": (_cmd_variance, "dihedral-formula or limiting variance of a Chebyshev trace", [
         _Opt("class", SymmetryClass.parse, required=True),
         _Opt("m", _to_int, required=True, help="Chebyshev degree"),
-        _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic"),
-        _Opt("n", _to_int, help="required for exact/oracle modes"),
+        _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic",
+             help="exact: the leading-order dihedral formula evaluated at n, not the "
+             "finite-n variance (they differ by O(1/n)); asymptotic: the limit"),
+        _Opt("n", _to_int, help="required for exact mode"),
         _SIGMA_OPT,
         _Opt("family", _to_family, default="gaussian"),
-        _Opt("budget", _to_int, help="enumeration budget: Bell(m)*2^(m-1) shape walks "
-             "for exact mode (m >= 3), least-index walks for oracle mode"),
+        _Opt("budget", _to_budget, help="enumeration budget: Bell(m)*2^(m-1) shape walks "
+             "for exact mode (m >= 3)"),
         _OUT_OPT,
     ]),
     "oracle": (_cmd_oracle, "exact covariance of two Chebyshev traces, by enumeration", [
@@ -457,7 +460,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("kind", _choice(*ORACLE_KINDS), default="moment"),
         _SIGMA_OPT,
         _Opt("family", _to_family, default="rademacher"),
-        _Opt("budget", _to_int),
+        _Opt("budget", _to_budget),
         _OUT_OPT,
     ]),
     "simulate": (_cmd_simulate, "Monte Carlo trace statistics with theory comparison", [

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from symmwig import SymmetryClass
-from symmwig.covariance import _cheb_covariance
+from symmwig.oracles import _cheb_covariance
 
 
 @dataclass(frozen=True)

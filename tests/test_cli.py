@@ -90,6 +90,29 @@ def test_variance_exact_needs_n(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("mode", ("exact", "asymptotic"))
+@pytest.mark.parametrize("cls, n, message", [
+    ("DIII", "-3", "n must be positive"),
+    ("CI", "0", "n must be positive"),
+    ("DIII", "1", "degenerate space: DIII with n=1 is identically zero"),
+])
+def test_variance_checks_n_in_every_mode(capsys, mode, cls, n, message):
+    """A given --n is checked by one rule in every mode, the limit included."""
+    code, out, err = run(capsys, "variance", "--class", cls, "--m", "4", "--mode", mode, "--n", n)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_variance_oracle_mode_is_gone(capsys):
+    """The finite-n variance is the moment oracle's: ``oracle --mu <m>``."""
+    code, out, err = run(capsys, "variance", "--class", "CI", "--m", "4", "--mode", "oracle",
+                         "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --mode: expected one of exact, asymptotic; got 'oracle'\n"
+    code, out, _ = run(capsys, "oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4",
+                       "--kind", "moment", "--family", "gaussian")
+    assert (code, rows_of(out)[1][4]) == (0, "18")
+
+
 def test_twelve_significant_digits(capsys):
     code, out, _ = run(
         capsys, "variance", "--class", "DIII", "--m", "2",
@@ -174,6 +197,33 @@ def test_exact_variance_at_desk_size(capsys, cls):
     assert (code, err) == (0, "")
     model = EntryModel.gaussian()
     assert rows_of(out)[1][3] == "%.12g" % V_n_exact(SymmetryClass[cls], 64, 6, model)
+
+
+# each command with the exit code of --budget 0: m = 2 enumerates nothing
+BUDGET_COMMANDS = (
+    (("variance", "--class", "CI", "--m", "2", "--mode", "exact", "--n", "3"), 0),
+    (("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3"), 2),
+    (("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "moment"), 2),
+    (("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "config"), 2),
+)
+
+
+@pytest.mark.parametrize("argv, zero_code", BUDGET_COMMANDS,
+                         ids=("variance-m2", "variance-m4", "oracle-moment", "oracle-config"))
+def test_negative_budget_is_one_message(tmp_path, capsys, argv, zero_code):
+    """A budget below 0 is a validation error, on the command line and in a
+    config file; a budget of 0 stays valid and runs out where anything is
+    enumerated."""
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out, err) == (1, "", "error: --budget: expected an integer >= 0, got '-1'\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget = -1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}:1: budget: expected an integer >= 0, got '-1'\n"
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == zero_code
+    assert err == "" if zero_code == 0 else err.endswith(" exceed budget 0\n")
 
 
 def test_exact_budget_counts_shape_walks(capsys):
@@ -344,8 +394,6 @@ def test_oracle_kinds_agree(capsys):
     ("oracle", "--kind", "moment", "--m", "0", "--mu", "2"),
     ("oracle", "--kind", "moment", "--m", "2", "--mu", "0"),
     ("oracle", "--kind", "moment", "--m", "-1", "--mu", "2"),
-    ("variance", "--mode", "oracle", "--m", "0"),
-    ("variance", "--mode", "oracle", "--m", "-1"),
     ("variance", "--mode", "exact", "--m", "0"),
     ("variance", "--mode", "asymptotic", "--m", "0"),
 ])
@@ -506,7 +554,6 @@ SIGMA_COMMANDS = (
     ("traces", "--class", "CI", "--n", "2"),
     ("variance", "--class", "CI", "--m", "4", "--mode", "asymptotic"),
     ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3"),
-    ("variance", "--class", "CI", "--m", "4", "--mode", "oracle", "--n", "2"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "moment"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "config"),
     ("simulate", "--class", "CI", "--n", "2", "--samples", "10"),
@@ -618,12 +665,19 @@ def test_traces_manifest_records_blas_threads(tmp_path, capsys):
 
 @pytest.mark.parametrize("cls", ("CI", "DIII"))
 def test_rademacher_m2_variance_is_exactly_zero(capsys, cls):
-    """4 Var(g^2) = 0 under Rademacher entries at any sigma, in every mode."""
+    """4 Var(g^2) = 0 under Rademacher entries at any sigma, in every mode,
+    and so is the moment oracle's finite-n variance of degree 2."""
     for sigma in ("0.7", "0.9", "1.3", "2.1"):
-        for mode, n in (("exact", "5"), ("asymptotic", "5"), ("oracle", "3")):
+        for mode, n in (("exact", "5"), ("asymptotic", "5")):
             code, out, _ = run(
                 capsys, "variance", "--class", cls, "--m", "2", "--mode", mode,
                 "--n", n, "--family", "rademacher", "--sigma", sigma,
             )
             assert code == 0
             assert rows_of(out)[1][3] == "0", (sigma, mode)
+        code, out, _ = run(
+            capsys, "oracle", "--class", cls, "--n", "3", "--m", "2", "--mu", "2",
+            "--kind", "moment", "--family", "rademacher", "--sigma", sigma,
+        )
+        assert code == 0
+        assert rows_of(out)[1][4] == "0", sigma

