@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -174,18 +173,6 @@ def _resolve(opts: Sequence[_Opt], ns: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SYMMWIG_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SYMMWIG_THREADS={env!r} is not an integer")
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # artifact emission
 
@@ -311,22 +298,6 @@ def _cmd_oracle(values: dict) -> int:
     return 0
 
 
-def _simulation(values: dict):
-    config = SimulationConfig(
-        symmetry_class=values["class"],
-        n=values["n"],
-        sigma=values["sigma"],
-        M=values["M"],
-        samples=values["samples"],
-        seed=values["seed"],
-        family=values["family"],
-        parallelism=_resolve_threads(values["threads"]),
-    )
-    # the limits first: a scale whose powers overflow fails before sampling
-    theory = theory_vector(config.symmetry_class, config.M, config.model)
-    return config, run_simulation(config), theory
-
-
 def _clean(x):
     """x with arrays and tuples as lists, walked through dicts, and NaN/inf,
     which have no JSON spelling, as null."""
@@ -341,10 +312,10 @@ def _clean(x):
     return x
 
 
-def _report_json(subcommand: str, config, result, report) -> dict:
+def _report_json(config, result, report) -> dict:
     return _clean({
         "schema": SCHEMA,
-        "subcommand": subcommand,
+        "subcommand": "report",
         "config": {
             "class": config.symmetry_class.value,
             "n": config.n,
@@ -361,23 +332,22 @@ def _report_json(subcommand: str, config, result, report) -> dict:
     })
 
 
-def _cmd_simulate(values: dict) -> int:
-    config, result, theory = _simulation(values)
-    report = clt_report(result, theory)
-    rows = [
-        [r.degree, r.var_est, r.var_se, r.theory, r.flag, r.z, r.k3, r.k4]
-        for r in report.rows
-    ]
-    header = ["degree", "var_est", "var_se", "theory", "flag", "z", "k3", "k4"]
-    doc = _report_json("simulate", config, result, report)
-    _emit("simulate", values, header, rows, json_doc=doc, seed=config.seed)
-    return 0
-
-
 def _cmd_report(values: dict) -> int:
     thresholds = {k.replace("-", "_"): values[k] for k in ("z-max", "rel-window")}
     _check_thresholds(**thresholds)  # a bad threshold fails before sampling
-    config, result, theory = _simulation(values)
+    config = SimulationConfig(
+        symmetry_class=values["class"],
+        n=values["n"],
+        sigma=values["sigma"],
+        M=values["M"],
+        samples=values["samples"],
+        seed=values["seed"],
+        family=values["family"],
+        parallelism=values["threads"],
+    )
+    # the limits first: a scale whose powers overflow fails before sampling
+    theory = theory_vector(config.symmetry_class, config.M, config.model)
+    result = run_simulation(config)
     report = clt_report(result, theory, **thresholds)
     rows = [
         ["var", r.degree, None, r.var_est, r.var_se, r.theory, r.flag, r.z, r.k3, r.k4, r.passed, r.note]
@@ -391,7 +361,7 @@ def _cmd_report(values: dict) -> int:
         "kind", "degree", "mu", "estimate", "se", "target",
         "flag", "z", "k3", "k4", "passed", "note",
     ]
-    doc = _report_json("report", config, result, report)
+    doc = _report_json(config, result, report)
     _emit("report", values, header, rows, json_doc=doc, seed=config.seed)
     return 0
 
@@ -407,17 +377,6 @@ def _cmd_traces(values: dict) -> int:
 
 _OUT_OPT = _Opt("out", str, help="write the table here (plus .json/.manifest.json)")
 _SIGMA_OPT = _Opt("sigma", _to_float, help="entry scale (default 1; an atoms: law has its own)")
-
-_SIMULATE_OPTS = [
-    _Opt("class", SymmetryClass.parse, required=True),
-    _Opt("n", _to_int, required=True),
-    _SIGMA_OPT,
-    _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
-    _Opt("samples", _to_int, default=10_000),
-    _Opt("seed", _to_int, default=0),
-    _Opt("family", _to_family, default="gaussian"),
-    _Opt("threads", _to_int, help="worker processes (default SYMMWIG_THREADS or 1)"),
-]
 
 # name -> (handler, description, options); handlers take the resolved values
 _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
@@ -463,10 +422,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("budget", _to_budget),
         _OUT_OPT,
     ]),
-    "simulate": (_cmd_simulate, "Monte Carlo trace statistics with theory comparison", [
-        *_SIMULATE_OPTS,
-        _OUT_OPT,
-    ]),
     "traces": (_cmd_traces, "Chebyshev traces of a single sampled matrix", [
         _Opt("class", SymmetryClass.parse, required=True),
         _Opt("n", _to_int, required=True),
@@ -476,8 +431,16 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("family", _to_family, default="gaussian"),
         _OUT_OPT,
     ]),
-    "report": (_cmd_report, "simulate, then grade against the limiting covariance", [
-        *_SIMULATE_OPTS,
+    "report": (_cmd_report,
+               "Monte Carlo trace statistics, graded against the limiting covariance", [
+        _Opt("class", SymmetryClass.parse, required=True),
+        _Opt("n", _to_int, required=True),
+        _SIGMA_OPT,
+        _Opt("M", _to_int, default=6, help="highest Chebyshev degree"),
+        _Opt("samples", _to_int, default=10_000),
+        _Opt("seed", _to_int, default=0),
+        _Opt("family", _to_family, default="gaussian"),
+        _Opt("threads", _to_int, default=1, help="worker processes"),
         _Opt("z-max", _to_float, default=3.0, help="z threshold"),
         _Opt("rel-window", _to_float, default=0.10, help="finite-size allowance, even degrees"),
         _OUT_OPT,

@@ -266,26 +266,24 @@ def complete_reflection_sequence(
 # Digits whose sign differs from the rest: the mixed plateaus.
 _MIXED_PLATEAUS = frozenset({DeltaMatrix(0, 0, 1, 1), DeltaMatrix(1, 1, 0, 0)})
 
-_SIGN_MODES = ("forward-A", "reverse-R")
 
-
-def delta_sign(symmetry_class: SymmetryClass, mode: str,
+def delta_sign(symmetry_class: SymmetryClass, condition: str,
                delta: DeltaMatrix) -> int:
     """Leading-order sign contributed by one digit of a chain.
 
-    mode is "forward-A" for the forward chains of shifts and "reverse-R"
-    for the reverse chains of reflections.  For the imaginary-entry class
-    the two modes have opposite tables; for the real-entry class
-    conjugation plays no role and the two modes agree.
+    condition is "forward" for the forward chains of shifts (the A sign
+    table) and "reverse" for the reverse chains of reflections (the R
+    table).  For the imaginary-entry class the two tables are opposite;
+    for the real-entry class conjugation plays no role and they agree.
     """
-    if mode not in _SIGN_MODES:
-        raise ValueError(f"mode must be one of {_SIGN_MODES}, got {mode!r}")
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be forward or reverse, got {condition!r}")
     if delta not in DELTA_ALPHABET:
         raise ValueError(f"{delta} is not an admissible digit")
     mixed = delta in _MIXED_PLATEAUS
-    if symmetry_class is SymmetryClass.DIII and mode == "forward-A":
+    if symmetry_class is SymmetryClass.DIII and condition == _FORWARD:
         return 1 if mixed else -1
-    # DIII reverse-R is the negation, which coincides with both CI tables.
+    # the DIII R table is the negation, which coincides with both CI tables.
     return -1 if mixed else 1
 
 
@@ -302,16 +300,13 @@ def per_g_leading_term(symmetry_class: SymmetryClass, g: DihedralElement,
     m = g.m
     if m < 3:
         raise ValueError(f"leading term defined for m >= 3, got {m}")
-    if g.kind == "shift":
-        condition, mode = _FORWARD, "forward-A"
-    else:
-        condition, mode = _REVERSE, "reverse-R"
+    condition = _FORWARD if g.kind == "shift" else _REVERSE
     seqs, _ = enumerate_delta_sequences(m, condition)
     total = 0
     for seq in seqs:
         prod = 1
         for d in seq:
-            prod *= delta_sign(symmetry_class, mode, d)
+            prod *= delta_sign(symmetry_class, condition, d)
         total += prod
     expected = 0 if m % 2 else 2 ** (m + 1)
     assert total == expected, (total, expected, g)

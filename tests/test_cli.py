@@ -236,7 +236,7 @@ def test_exact_budget_counts_shape_walks(capsys):
 def test_help_exits_0(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
-    assert dispatch(["simulate", "--help"]) == 0
+    assert dispatch(["report", "--help"]) == 0
     capsys.readouterr()
 
 
@@ -316,16 +316,17 @@ def test_out_writes_table_and_manifest(tmp_path, capsys):
     assert "version" in manifest and "timestamp" in manifest
 
 
-def test_simulate_artifacts(tmp_path, capsys):
+def test_report_artifacts(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code, _, _ = run(
-        capsys, "simulate", "--class", "CI", "--n", "6", "--samples", "300",
+        capsys, "report", "--class", "CI", "--n", "6", "--samples", "300",
         "--seed", "4", "--M", "4", "--out", str(out),
     )
     assert code == 0
     rows = rows_of(out.read_text())
-    assert rows[0] == ["degree", "var_est", "var_se", "theory", "flag", "z", "k3", "k4"]
-    assert len(rows) == 1 + 4
+    assert rows[0] == ["kind", "degree", "mu", "estimate", "se", "target",
+                       "flag", "z", "k3", "k4", "passed", "note"]
+    assert len(rows) == 1 + 4 + 6  # header, a var row per degree, a cov row per pair
     doc = json.loads((out.parent / "sim.csv.json").read_text())
     assert doc["schema"] == "symmwig/1"
     assert doc["config"]["samples"] == 300
@@ -335,12 +336,12 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert manifest["seed"] == 4
 
 
-def test_simulate_csv_deterministic_across_threads(tmp_path, capsys):
+def test_report_csv_deterministic_across_threads(tmp_path, capsys):
     outs = []
     for threads, name in ((1, "a.csv"), (8, "b.csv")):
         path = tmp_path / name
         code, _, _ = run(
-            capsys, "simulate", "--class", "DIII", "--n", "8", "--samples", "400",
+            capsys, "report", "--class", "DIII", "--n", "8", "--samples", "400",
             "--seed", "12", "--threads", str(threads), "--out", str(path),
         )
         assert code == 0
@@ -348,19 +349,28 @@ def test_simulate_csv_deterministic_across_threads(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMMWIG_THREADS", "2")
-    out = tmp_path / "env.csv"
+@pytest.mark.parametrize("env", (None, "2", "soon"))
+def test_manifest_records_the_worker_count_that_ran(tmp_path, capsys, monkeypatch, env):
+    """--threads (or threads = in a config file) alone sets the worker count:
+    without it one worker runs, the manifest says so, and the environment
+    plays no part."""
+    if env is not None:
+        monkeypatch.setenv("SYMMWIG_THREADS", env)
+    out = tmp_path / "run.csv"
     code, _, _ = run(
-        capsys, "simulate", "--class", "CI", "--n", "4", "--samples", "200",
+        capsys, "report", "--class", "CI", "--n", "4", "--samples", "200", "--seed", "1",
         "--out", str(out),
     )
     assert code == 0
-    doc = json.loads((out.parent / "env.csv.json").read_text())
-    assert doc["config"]["parallelism"] == 2
-    monkeypatch.setenv("SYMMWIG_THREADS", "soon")
-    assert dispatch(["simulate", "--class", "CI", "--n", "4", "--samples", "200"]) == 1
-    capsys.readouterr()
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["parameters"]["threads"] == 1
+    assert json.loads((tmp_path / "run.csv.json").read_text())["config"]["parallelism"] == 1
+
+
+def test_simulate_is_not_a_subcommand(capsys):
+    """report is the one Monte Carlo command."""
+    assert dispatch(["simulate", "--class", "CI", "--n", "2"]) == 1
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
 
 
 def test_report_table(capsys):
@@ -404,21 +414,20 @@ def test_oracles_reject_degrees_below_one(capsys, argv):
     assert (code, out, err) == (1, "", "error: degrees must be >= 1\n")
 
 
-@pytest.mark.parametrize("subcommand", ("traces", "simulate", "report"))
+@pytest.mark.parametrize("subcommand", ("traces", "report"))
 def test_top_degree_below_one_is_one_message(capsys, subcommand):
     code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--M", "0")
     assert (code, out, err) == (1, "", "error: M must be >= 1\n")
 
 
-@pytest.mark.parametrize("subcommand", ("simulate", "report"))
+@pytest.mark.parametrize("subcommand", ("report",))
 def test_top_degree_above_512_is_one_message(capsys, subcommand):
     """An M whose block sums would exhaust memory is refused before sampling."""
     code, out, err = run(capsys, subcommand, "--class", "CI", "--n", "2", "--M", "5000")
     assert (code, out, err) == (1, "", "error: M must be <= 512\n")
 
 
-@pytest.mark.parametrize("argv", (("traces",), ("simulate", "--samples", "10"),
-                                  ("report", "--samples", "10")))
+@pytest.mark.parametrize("argv", (("traces",), ("report", "--samples", "10")))
 def test_negative_seed_is_one_message(capsys, argv):
     code, out, err = run(capsys, *argv, "--class", "CI", "--n", "2", "--seed", "-1")
     assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
@@ -506,7 +515,7 @@ def test_traces_of_hermitian_diii_input_run_at_large_sigma(capsys):
     assert [r[0] for r in rows_of(out)[1:]] == ["1", "2", "3", "4", "5", "6"]
 
 
-@pytest.mark.parametrize("subcommand", ("simulate", "report"))
+@pytest.mark.parametrize("subcommand", ("report",))
 def test_two_samples_is_one_message(capsys, subcommand):
     """Two samples make one-sample jackknife blocks, whose leave-one-out
     covariances divide by zero: rejected before sampling."""
@@ -556,7 +565,6 @@ SIGMA_COMMANDS = (
     ("variance", "--class", "CI", "--m", "4", "--mode", "exact", "--n", "3"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "moment"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "2", "--mu", "2", "--kind", "config"),
-    ("simulate", "--class", "CI", "--n", "2", "--samples", "10"),
     ("report", "--class", "CI", "--n", "2", "--samples", "10"),
 )
 
@@ -603,11 +611,11 @@ OVERFLOW_COMMANDS = (
     ("variance", "--class", "CI", "--m", "2", "--mode", "exact", "--n", "3", "--sigma", "1e100"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "moment",
      "--sigma", "1e150"),
-    ("simulate", "--class", "CI", "--n", "2", "--samples", "10", "--sigma", "1e150"),
+    ("report", "--class", "CI", "--n", "2", "--samples", "10", "--sigma", "1e150"),
     ("traces", "--class", "CI", "--n", "2", "--sigma", "1e150"),
     ("oracle", "--class", "CI", "--n", "2", "--m", "4", "--mu", "4", "--kind", "config",
      "--sigma", "1e150"),
-    ("simulate", "--class", "CI", "--n", "4", "--samples", "100", "--M", "400"),
+    ("report", "--class", "CI", "--n", "4", "--samples", "100", "--M", "400"),
 )
 
 

@@ -170,13 +170,16 @@ def test_delta_sign_tables():
     mixed = {D("00/11"), D("11/00")}
     for d in DELTA_ALPHABET:
         is_mixed = d in mixed
-        assert delta_sign(SymmetryClass.DIII, "forward-A", d) == (1 if is_mixed else -1)
-        for cls, mode in (
-            (SymmetryClass.DIII, "reverse-R"),
-            (SymmetryClass.CI, "forward-A"),
-            (SymmetryClass.CI, "reverse-R"),
+        assert delta_sign(SymmetryClass.DIII, "forward", d) == (1 if is_mixed else -1)
+        for cls, condition in (
+            (SymmetryClass.DIII, "reverse"),
+            (SymmetryClass.CI, "forward"),
+            (SymmetryClass.CI, "reverse"),
         ):
-            assert delta_sign(cls, mode, d) == (-1 if is_mixed else 1)
+            assert delta_sign(cls, condition, d) == (-1 if is_mixed else 1)
+    # the direction is a chaining condition; any other string is refused
+    with pytest.raises(ValueError, match="condition must be forward or reverse"):
+        delta_sign(SymmetryClass.CI, "forward-A", D("00/11"))
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6))
