@@ -367,6 +367,49 @@ def test_manifest_records_the_worker_count_that_ran(tmp_path, capsys, monkeypatc
     assert json.loads((tmp_path / "run.csv.json").read_text())["config"]["parallelism"] == 1
 
 
+@pytest.mark.parametrize("flag, in_file, ran", ((2, None, 2), (None, 2, 2), (3, 2, 3)))
+def test_threads_come_from_the_flag_or_the_config_file(tmp_path, capsys, flag, in_file, ran):
+    """The worker count is --threads, else threads = in the config file; the
+    flag wins over the file, and manifest and document record what ran."""
+    argv = ["report", "--class", "CI", "--n", "4", "--samples", "200", "--seed", "1"]
+    if flag is not None:
+        argv += ["--threads", str(flag)]
+    if in_file is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threads = {in_file}\n")
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "run.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["parameters"]["threads"] == ran
+    assert json.loads((tmp_path / "run.csv.json").read_text())["config"]["parallelism"] == ran
+
+
+@pytest.mark.parametrize("raw, message", (
+    ("0", "parallelism must be >= 1"),
+    ("-2", "parallelism must be >= 1"),
+    ("soon", "--threads: expected an integer, got 'soon'"),
+    ("1.5", "--threads: expected an integer, got '1.5'"),
+))
+def test_bad_worker_count_is_one_message(capsys, raw, message):
+    code, out, err = run(capsys, "report", "--class", "CI", "--n", "2", "--samples", "10",
+                         "--threads", raw)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("raw, message", (
+    ("0", "parallelism must be >= 1"),
+    ("soon", "{cfg}:1: threads: expected an integer, got 'soon'"),
+))
+def test_bad_worker_count_in_config_file_is_one_message(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads = {raw}\n")
+    code, out, err = run(capsys, "report", "--class", "CI", "--n", "2", "--samples", "10",
+                         "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: {message.format(cfg=cfg)}\n")
+
+
 def test_simulate_is_not_a_subcommand(capsys):
     """report is the one Monte Carlo command."""
     assert dispatch(["simulate", "--class", "CI", "--n", "2"]) == 1
