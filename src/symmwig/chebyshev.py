@@ -62,7 +62,8 @@ def trace_cheb_vector(X, M: int, sigma: float) -> np.ndarray:
     raises, and so does a member that differs from its conjugate transpose
     by more than 1e-12 of its largest |entry|, once, before the recurrence.
     An overflow raises OverflowError.  The stacks of the recurrence are
-    allocated once per call.
+    allocated once per call, in the dtype of X: a real X (a CI sample)
+    runs in real arithmetic, a complex one (a DIII sample) in complex.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -78,7 +79,7 @@ def trace_cheb_vector(X, M: int, sigma: float) -> np.ndarray:
         skew = np.abs(X - X.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
         if (skew > 1e-12 * np.abs(X).max(axis=(-2, -1), initial=0.0)).any():
             raise ValueError("matrix is not Hermitian to 1e-12 of its largest entry")
-    return _recurrence_traces(X, M, sigma, [np.empty_like(X) for _ in range(_stack_count(M))])
+    return _recurrence_traces(X, M, sigma, [np.empty_like(X) for _ in range(_stack_count(M))], 1)
 
 
 def _stack_count(M: int) -> int:
@@ -87,29 +88,41 @@ def _stack_count(M: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught on the traces
-def _recurrence_traces(X: np.ndarray, M: int, sigma: float, stacks: list) -> np.ndarray:
-    """``trace_cheb_vector`` on a checked square Hermitian stack X, float or complex.
+def _recurrence_traces(Y, M: int, sigma: float, stacks: list, pair_unit: int) -> np.ndarray:
+    """Tr T_m(u Y, sigma), m = 1..M, of a checked square stack Y, u^2 = ``pair_unit``.
 
-    T_{m+1} = X T_m - sigma^2 T_{m-1} runs in up to three rotating stacks,
-    stacks[0..2], with sigma^2 T_{m-1} in the scratch stack stacks[-1];
-    ``stacks`` holds ``_stack_count(M)`` arrays shaped like X.  X is never
-    written to.  With X and sigma finite, a non-finite trace is an overflow.
+    Hermitian Y, float or complex, takes pair_unit 1 and u = 1.  A DIII
+    matrix X = iY, Y real skew, takes pair_unit -1 and u = i, so that every
+    stack stays real: T_m(iY, sigma) = i^m U_m(Y, sigma), where
+
+        U_0 = 2,  U_1 = Y,  U_{m+1} = Y U_m - (pair_unit sigma^2) U_{m-1},
+
+    the literal recurrence with sigma^2 signed by the pair unit, and Tr T_m
+    = Re(u^m) Tr U_m: Tr U_m itself at pair_unit 1; at pair_unit -1,
+    (-1)^(m/2) Tr U_m at even m and exactly +0.0 at odd m, where no trace
+    is taken.
+
+    U runs in up to three rotating stacks, stacks[0..2], with the signed
+    sigma^2 U_{m-1} in the scratch stack stacks[-1]; ``stacks`` holds
+    ``_stack_count(M)`` arrays shaped like Y.  Y is never written to.  With
+    Y and sigma finite, a non-finite trace is an overflow.
     """
-    dim = X.shape[-1]
-    out = np.empty(X.shape[:-2] + (M,), dtype=float)
-    tr = np.empty(X.shape[:-2], dtype=X.dtype)
-    s2 = sigma * sigma
-    prev = 2.0 * np.eye(dim, dtype=X.dtype)  # T_0, broadcast over the stack
-    cur = X  # T_1
+    dim = Y.shape[-1]
+    out = np.zeros(Y.shape[:-2] + (M,))  # odd degrees stay +0.0 in DIII
+    tr = np.empty(Y.shape[:-2], dtype=Y.dtype)
+    s2 = pair_unit * sigma * sigma
+    prev = 2.0 * np.eye(dim, dtype=Y.dtype)  # U_0, broadcast over the stack
+    cur = Y  # U_1
     for m in range(1, M + 1):
-        np.trace(cur, axis1=-2, axis2=-1, out=tr)
-        if not np.isfinite(tr).all():
-            raise OverflowError(f"trace of degree {m} overflows a float")
-        out[..., m - 1] = tr.real
+        if pair_unit > 0 or m % 2 == 0:
+            np.trace(cur, axis1=-2, axis2=-1, out=tr)
+            if not np.isfinite(tr).all():
+                raise OverflowError(f"trace of degree {m} overflows a float")
+            out[..., m - 1] = pair_unit ** (m // 2) * tr.real  # Re(u^m) Tr U_m
         if m < M:
             # neither prev nor cur is the stack written here
             nxt = stacks[(m - 1) % 3]
-            np.matmul(X, cur, out=nxt)
+            np.matmul(Y, cur, out=nxt)
             np.multiply(prev, s2, out=stacks[-1])
             np.subtract(nxt, stacks[-1], out=nxt)
             prev, cur = cur, nxt

@@ -307,8 +307,11 @@ class BlockLayout:
 
     Flat entry k is gathered from ext = [draws, -draws, 0] at gather[k]:
     the class id where the sign is +1, id + n_classes where it is -1, and
-    2 * n_classes where the entry is forced to zero.  The normalized sample
-    is unit * assemble(draws) / sqrt(dim), unit being i for DIII and 1 for CI.
+    2 * n_classes where the entry is forced to zero.  ``assemble`` gives the
+    real float64 W in either class, and Y = W / sqrt(dim) is the real block
+    matrix that every computation of the package runs on.  The normalized
+    sample is unit * Y: complex128 for DIII, where unit is i, and float64
+    for CI, where unit is 1.0.
     """
 
     dim: int
@@ -348,12 +351,12 @@ def block_layout(symmetry_class: SymmetryClass, n: int) -> BlockLayout:
 def sample_matrix(
     symmetry_class: SymmetryClass, n: int, model: EntryModel, seed: int
 ) -> np.ndarray:
-    """One normalized Hermitian draw, the complex 2n x 2n array;
-    deterministic given the seed."""
+    """One normalized Hermitian draw, the 2n x 2n array unit * Y of
+    ``BlockLayout``: complex128 for DIII, float64 for CI; deterministic
+    given the seed."""
     layout = block_layout(symmetry_class, n)
     draws = model.draw(derive_rng(seed), layout.n_classes)
-    W = layout.assemble(draws)
-    return (layout.unit * W / math.sqrt(layout.dim)).astype(np.complex128)
+    return layout.unit * layout.assemble(draws) / math.sqrt(layout.dim)
 
 
 def symmetry_stats(symmetry_class: SymmetryClass, n: int) -> tuple[int, int]:

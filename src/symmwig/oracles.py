@@ -167,18 +167,21 @@ def cov_traces_config_oracle(
 
     Weights every joint assignment of the class variables by its product
     probability and evaluates both traces by the literal matrix recurrence,
-    once per sign orbit of configurations.  The weighted sums are taken over
-    windows of ``_DOT_WINDOW`` consecutive configurations, in index order,
-    and added with ``math.fsum``.
+    once per sign orbit of configurations, in real arithmetic: on the real
+    block matrix Y, with X = Y in CI and X = iY in DIII (see
+    ``_recurrence_traces``), so an odd DIII trace is exactly +0.0.  The
+    weighted sums are taken over windows of ``_DOT_WINDOW`` consecutive
+    configurations, in index order, and added with ``math.fsum``.
 
     Sign orbits.  Let D = diag(d, eps d) with d in {+-1}^n, eps = +-1.  D X D
     stays in the ensemble: it multiplies each class by one sign (see
-    ``_class_flips``).  Every matrix of the recurrence obeys
-    T_k(D X D) = D T_k(X) D, and all terms of entry (i, j) of each product
-    carry the same sign d_i d_j.  Round-to-nearest is odd, fl(-x) = -fl(x),
-    for fma as well, so the same BLAS kernel on the same shapes returns
-    exactly the signed result, and the traces are bitwise equal.  Likewise
-    T_k(-X) = (-1)^k T_k(X), bit for bit.  When the atom values are closed
+    ``_class_flips``), and so does D Y D.  Every matrix of the recurrence
+    obeys U_k(D Y D) = D U_k(Y) D, and all terms of entry (i, j) of each
+    product carry the same sign d_i d_j.  Round-to-nearest is odd,
+    fl(-x) = -fl(x), for fma as well, so the same BLAS kernel on the same
+    shapes returns exactly the signed result, and the traces are bitwise
+    equal.  Likewise
+    U_k(-Y) = (-1)^k U_k(Y), bit for bit.  When the atom values are closed
     under negation these maps send configurations to configurations, so the
     traces of every configuration are +- those of a representative; the
     weights are always the configuration's own.  Other laws get the trivial
@@ -246,20 +249,20 @@ def cov_traces_config_oracle(
     # low matrices plus the high value's matrix equal the assembled
     # configuration up to the sign of zero, as every entry is in one class
     blocks, pos = np.unique(rep, return_inverse=True)
-    M = max(m, mu)
-    scale = layout.unit / math.sqrt(layout.dim)
+    M, unit = max(m, mu), symmetry_class.pair_unit
+    scale = 1 / math.sqrt(layout.dim)  # the real Y of X = iY in DIII
     draws = np.zeros((len(evaluated), nc))
     draws[:, :L] = values[low[evaluated]]
-    x_low = scale * layout.assemble(draws)
-    X = np.empty_like(x_low)
-    stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
+    y_low = scale * layout.assemble(draws)
+    Y = np.empty_like(y_low)
+    stacks = [np.empty_like(Y) for _ in range(_stack_count(M))]
     table = np.empty((2, len(blocks), len(evaluated)))
     for i, r in enumerate(blocks):
         draws = np.zeros(nc)
         draws[L:] = values[high[r]]
-        np.add(x_low, scale * layout.assemble(draws), out=X)
-        table[:, i] = _recurrence_traces(X, M, model.sigma, stacks)[:, [m - 1, mu - 1]].T
-    del x_low, X, stacks  # the sum reads the table alone
+        np.add(y_low, scale * layout.assemble(draws), out=Y)
+        table[:, i] = _recurrence_traces(Y, M, model.sigma, stacks, unit)[:, [m - 1, mu - 1]].T
+    del y_low, Y, stacks  # the sum reads the table alone
 
     # sum: each window gathers the blocks it touches, in index order, at
     # the flat table index pos * E + col of every configuration

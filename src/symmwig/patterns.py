@@ -189,8 +189,8 @@ def enumerate_delta_sequences(
         raise ValueError(f"condition must be forward or reverse, "
                          f"got {condition!r}")
     name = filter_name or "all"
-    if name == "tau-realizable" and condition != _REVERSE:
-        raise ValueError("tau-realizable only applies to reverse chains")
+    if name == "tau-realizable" and (condition != _REVERSE or m < 3):
+        raise ValueError(f"tau-realizable needs reverse chains of m >= 3, got {condition}, m={m}")
 
     starts = [first_delta] if first_delta is not None else list(DELTA_ALPHABET)
     out: list[tuple[DeltaMatrix, ...]] = []

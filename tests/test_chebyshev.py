@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmwig.chebyshev import cheb_coefficients, trace_cheb_vector
-from symmwig.ensemble import EntryModel, SymmetryClass, sample_matrix
+from symmwig.chebyshev import _recurrence_traces, _stack_count, cheb_coefficients, trace_cheb_vector
+from symmwig.ensemble import EntryModel, SymmetryClass, block_layout, derive_rng, sample_matrix
 
 
 def test_low_degree_coefficients():
@@ -170,14 +170,21 @@ def test_overflowing_trace_raises(dtype):
             trace_cheb_vector(X, 6, 1.0)
 
 
-def literal_traces(X, M, sigma):
-    """T_{m+1} = X T_m - sigma^2 T_{m-1} with a fresh matrix per degree."""
+def literal_traces(X, M, sigma, pair_unit=1):
+    """T_{m+1} = X T_m - sigma^2 T_{m-1} with a fresh matrix per degree.
+
+    With pair_unit -1, X is the real Y of the DIII matrix iY, and the
+    recurrence is U_{m+1} = Y U_m + sigma^2 U_{m-1}, read as Tr T_m =
+    Re(i^m) Tr U_m: (-1)^(m/2) Tr U_m at even m, +0.0 at odd m."""
     prev, cur = 2.0 * np.eye(X.shape[-1], dtype=X.dtype), X
     out = []
     for m in range(1, M + 1):
-        out.append(np.real(np.trace(cur, axis1=-2, axis2=-1)))
+        tr = np.real(np.trace(cur, axis1=-2, axis2=-1))
+        if pair_unit < 0:
+            tr = (-1.0) ** (m // 2) * tr if m % 2 == 0 else np.zeros_like(tr)
+        out.append(tr)
         nxt = X @ cur
-        nxt -= (sigma * sigma) * prev
+        nxt -= (pair_unit * sigma * sigma) * prev
         prev, cur = cur, nxt
     return np.stack(out, axis=-1)
 
@@ -198,3 +205,53 @@ def test_reused_stacks_match_literal_recurrence(M, sigma, dim):
         got = trace_cheb_vector(X, M, sigma)
         assert got.shape == X.shape[:-2] + (M,)
         assert np.array_equal(got, literal_traces(X, M, sigma))
+
+
+@pytest.mark.parametrize("family", ("gaussian", "rademacher"))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_real_diii_recurrence_matches_complex_literal(family, n):
+    """The DIII route on the real Y, U_{m+1} = Y U_m + sigma^2 U_{m-1} read
+    as Re(i^m) Tr U_m, against the complex literal recurrence on iY: even
+    degrees agree within 4 ulps of dim * max(|Y|, 2 sigma)^m, a bound on
+    each trace's scale, and odd degrees are exactly +0.0."""
+    layout = block_layout(SymmetryClass.DIII, n)
+    for sigma in (1.0, 0.7):
+        draws = EntryModel.parse(family, sigma).draw(np.random.default_rng(n), (16, layout.n_classes))
+        Y = layout.assemble(draws) / math.sqrt(layout.dim)
+        radius = max(np.linalg.norm(Y, 2, axis=(-2, -1)).max(), 2 * sigma)
+        for M in range(1, 9):
+            stacks = [np.empty_like(Y) for _ in range(_stack_count(M))]
+            got = _recurrence_traces(Y, M, sigma, stacks, -1)
+            want = literal_traces(1j * Y, M, sigma)
+            assert got.dtype == np.float64 and got.shape == (16, M)
+            odd = got[:, 0::2]
+            assert np.all(odd == 0.0) and not np.signbit(odd).any(), M
+            for m in range(2, M + 1, 2):
+                ulp = np.finfo(float).eps * layout.dim * radius**m
+                assert np.abs(got[:, m - 1] - want[:, m - 1]).max() <= 4 * ulp, (sigma, M, m)
+            assert np.array_equal(got, literal_traces(Y, M, sigma, -1)), (sigma, M)
+
+
+@pytest.mark.parametrize("family", ("gaussian", "rademacher"))
+@pytest.mark.parametrize("n", (1, 3, 8))
+def test_ci_sample_is_real(family, n):
+    """A CI sample is the float64 Y = W / sqrt(2n), bit for bit; a DIII
+    sample is the complex128 iY."""
+    model = EntryModel.parse(family)
+    layout = block_layout(SymmetryClass.CI, n)
+    X = sample_matrix(SymmetryClass.CI, n, model, seed=7)
+    assert X.dtype == np.float64
+    draws = model.draw(derive_rng(7), layout.n_classes)
+    assert np.array_equal(X, layout.assemble(draws) / math.sqrt(layout.dim))
+    if n > 1:
+        assert sample_matrix(SymmetryClass.DIII, n, model, seed=7).dtype == np.complex128
+
+
+def test_ci_sample_bits_are_pinned():
+    """Entries of the CI Gaussian sample at n = 3, seed 7, bit for bit: the
+    real parts of the complex128 sample that CI returned before it was real."""
+    X = sample_matrix(SymmetryClass.CI, 3, EntryModel.gaussian(), seed=7)
+    got = [X[0, 0].hex(), X[0, 4].hex(), X[5, 2].hex(), X[3, 3].hex()]
+    assert got == [
+        "0x1.9248f0829a3b1p-6", "-0x1.744efef740f71p-2", "0x1.2a63fb1d8a424p-3", "-0x1.9248f0829a3b1p-6",
+    ]

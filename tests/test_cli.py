@@ -180,6 +180,18 @@ def test_pinned_first_digit_matches_its_closed_form(capsys):
         assert (code, err) == (0, "") and rows_of(out)[1][4:] == ["", ""]
 
 
+@pytest.mark.parametrize("m", (1, 2))
+def test_tau_realizable_below_three_is_rejected_before_enumerating(capsys, m):
+    """Reflection completion needs m >= 3, so the filter is rejected before
+    the enumeration, by one message that names it, as for forward chains."""
+    code, out, err = run(capsys, "patterns", "--m", str(m), "--condition", "reverse",
+                         "--filter", "tau-realizable")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: tau-realizable needs reverse chains of m >= 3, got reverse, m={m}"
+    ]
+
+
 def test_budget_error_exits_2(capsys):
     code, _, err = run(
         capsys, "oracle", "--class", "DIII", "--n", "6",

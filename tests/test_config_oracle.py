@@ -45,8 +45,8 @@ def reference_config_oracle(cls, n, m, mu, model):
     for lo in range(0, n_cfg, WINDOW):
         digits = digits_of(layout, len(atoms), lo, min(lo + WINDOW, n_cfg))
         w = probs[digits].prod(axis=1)
-        X = (layout.unit / math.sqrt(layout.dim)) * layout.assemble(values[digits])
-        t = literal_traces(X, max(m, mu), model.sigma)
+        Y = layout.assemble(values[digits]) / math.sqrt(layout.dim)
+        t = literal_traces(Y, max(m, mu), model.sigma, cls.pair_unit)
         tx = np.ascontiguousarray(t[:, m - 1])
         ty = np.ascontiguousarray(t[:, mu - 1])
         sx.append(float(np.dot(w, tx)))
@@ -66,7 +66,7 @@ def test_low_high_blocks_match_assembly(cls, n, model):
     A = len(values)
     layout = block_layout(cls, n)
     nc = layout.n_classes
-    scale = layout.unit / math.sqrt(layout.dim)
+    scale = 1 / math.sqrt(layout.dim)  # the real Y, as in the oracle
     low, high = _config_digits(A, nc)
     L = low.shape[1]
     draws = np.zeros((len(low), nc))
@@ -132,7 +132,7 @@ SKEWED_VALUES = {
     (DIII, 4): {
         (2, 2): "0x1.8000000000180p+2",
         (3, 5): "0x0.0p+0",
-        (4, 6): "-0x1.d393fffffffffp+6",
+        (4, 6): "-0x1.d393ffffffffep+6",
         (6, 6): "0x1.38c8b7ffffffep+10",
     },
 }
@@ -183,11 +183,11 @@ def test_sign_maps_are_bitwise_on_the_recurrence(cls, model):
     values = np.array([v for v, _ in atoms])
     neg = np.array([list(values).index(-v) for v in values])
     layout = block_layout(cls, n)
-    scale = layout.unit / math.sqrt(layout.dim)
+    scale = 1 / math.sqrt(layout.dim)  # the real Y, as in the oracle
     digits = np.random.default_rng(11).integers(0, len(atoms), (64, layout.n_classes))
     X = scale * layout.assemble(values[digits])
     stacks = [np.empty_like(X) for _ in range(_stack_count(M))]
-    want = _recurrence_traces(X, M, 1.0, stacks).copy()
+    want = _recurrence_traces(X, M, 1.0, stacks, cls.pair_unit).copy()
     flips = _class_flips(cls, n)
     k = np.arange(1, M + 1)
     for subset in itertools.product((False, True), repeat=len(flips)):
@@ -204,7 +204,7 @@ def test_sign_maps_are_bitwise_on_the_recurrence(cls, model):
         assert pattern[-1] == subset[0]
         image = scale * layout.assemble(values[np.where(pattern[:-1], neg[digits], digits)])
         assert np.array_equal(image, s * (d[:, None] * X * d[None, :]))
-        got = _recurrence_traces(image[::-1].copy(), M, 1.0, stacks)[::-1]
+        got = _recurrence_traces(image[::-1].copy(), M, 1.0, stacks, cls.pair_unit)[::-1]
         assert np.array_equal(got, want * s**k), subset
 
 
@@ -217,6 +217,29 @@ def count_evaluations(monkeypatch):
 
     monkeypatch.setattr(oracles, "_recurrence_traces", counting)
     return evaluated
+
+
+@pytest.mark.parametrize("model", (RADEM, THREE_ATOMS, SKEWED), ids=("two", "three", "skewed"))
+def test_diii_runs_on_the_real_block_matrix(monkeypatch, model):
+    """The oracle hands the recurrence the float64 Y of X = iY with the
+    pair unit -1, builds no complex array, and a DIII covariance with an
+    odd degree is exactly +0.0."""
+    seen = []
+
+    def recording(Y, M, sigma, stacks, pair_unit):
+        seen.append((Y.dtype, {s.dtype for s in stacks}, pair_unit))
+        return _recurrence_traces(Y, M, sigma, stacks, pair_unit)
+
+    monkeypatch.setattr(oracles, "_recurrence_traces", recording)
+    for m, mu in ((3, 5), (4, 5), (1, 6), (2, 2), (4, 6)):
+        seen.clear()
+        got = cov_traces_config_oracle(DIII, 3, m, mu, model)
+        assert seen and all(
+            dtype == np.float64 and stack_types == {np.dtype(np.float64)} and unit == -1
+            for dtype, stack_types, unit in seen
+        ), (m, mu)
+        if m % 2 or mu % 2:
+            assert got.hex() == "0x0.0p+0", (m, mu)
 
 
 # values at CI n = 4 of the enumeration that runs the recurrence on every one
