@@ -100,7 +100,7 @@ def _recurrence_traces(Y, M: int, sigma: float, stacks: list, pair_unit: int) ->
     the literal recurrence with sigma^2 signed by the pair unit, and Tr T_m
     = Re(u^m) Tr U_m: Tr U_m itself at pair_unit 1; at pair_unit -1,
     (-1)^(m/2) Tr U_m at even m and exactly +0.0 at odd m, where no trace
-    is taken.
+    is taken, and U_M is not formed at odd M.
 
     U runs in up to three rotating stacks, stacks[0..2], with the signed
     sigma^2 U_{m-1} in the scratch stack stacks[-1]; ``stacks`` holds
@@ -113,13 +113,14 @@ def _recurrence_traces(Y, M: int, sigma: float, stacks: list, pair_unit: int) ->
     s2 = pair_unit * sigma * sigma
     prev = 2.0 * np.eye(dim, dtype=Y.dtype)  # U_0, broadcast over the stack
     cur = Y  # U_1
-    for m in range(1, M + 1):
+    last = M if pair_unit > 0 else M - M % 2
+    for m in range(1, last + 1):
         if pair_unit > 0 or m % 2 == 0:
             np.trace(cur, axis1=-2, axis2=-1, out=tr)
             if not np.isfinite(tr).all():
                 raise OverflowError(f"trace of degree {m} overflows a float")
             out[..., m - 1] = pair_unit ** (m // 2) * tr.real  # Re(u^m) Tr U_m
-        if m < M:
+        if m < last:
             # neither prev nor cur is the stack written here
             nxt = stacks[(m - 1) % 3]
             np.matmul(Y, cur, out=nxt)

@@ -402,8 +402,8 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], int], str, list[_Opt]]] = {
         _Opt("class", SymmetryClass.parse, required=True),
         _Opt("m", _to_int, required=True, help="Chebyshev degree"),
         _Opt("mode", _choice(*VARIANCE_MODES), default="asymptotic",
-             help="exact: the leading-order dihedral formula evaluated at n, not the "
-             "finite-n variance (they differ by O(1/n)); asymptotic: the limit"),
+             help="exact: 0 at m=1, the off-diagonal-pairs sum at m=2, else the leading-order "
+             "dihedral formula at n, O(1/n) off the finite-n variance; asymptotic: the limit"),
         _Opt("n", _to_int, help="required for exact mode"),
         _SIGMA_OPT,
         _Opt("family", _to_family, default="gaussian"),

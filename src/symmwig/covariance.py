@@ -257,12 +257,14 @@ def _exact_cell(
     """V_n as one rational in sigma^2, and for m >= 3 the sign sum of each
     kind of dihedral element with the scale that values it (else None).
 
-    m=1 sums diagonal second moments, m=2 fourth-moment covariances over
-    equivalent off-diagonal pairs, both from the counts and signs of
-    ``class_tables``.  m>=3 is the dihedral formula m (S + u^m S)
-    (u sigma^2 / 2n)^m, u the pair unit (eps of ``_shape_sums``) and S the
-    shift sum of ``_shift_sum``: S for each of the m shifts and u^m S for
-    each of the m reflections.
+    m=1 gives 0: Tr W = Tr X1 + Tr(-X1) = 0 in every sample.  m=2 sums
+    Var(g^2) k^2 / (2n)^2 over the classes, k the number of off-diagonal
+    members of a class: 4 if a < b (n(n-1) classes), 2 in CI's C2(a, a), 0
+    in its C1(a, a).  So V_n(2) = Var(g^2) (4(n-1) + [CI]) / n: the finite-n
+    variance in DIII, Var(g^2)/n below it in CI.  m>=3 is the leading-order
+    dihedral formula m (S + u^m S) (u sigma^2 / 2n)^m, u the pair unit
+    (eps of ``_shape_sums``) and S the shift sum of ``_shift_sum``: S for
+    each of the m shifts and u^m S for each of the m reflections.
     """
     if m < 1:
         raise ValueError("degrees must be >= 1")
@@ -272,17 +274,11 @@ def _exact_cell(
         sums = {"shift": shift_sum, "reflection": u**m * shift_sum}
         scale = (u * Fraction(model.sigma2) / dim) ** m
         return m * (sums["shift"] + sums["reflection"]) * scale, (sums, scale)
-    cls_id, sign = class_tables(symmetry_class, n)
+    _check_size(symmetry_class, n)
     if m == 1:
-        # E a_pp a_qq is (sign product) * u * sigma2 when both diagonal
-        # entries lie in one class, else 0: a square of per-class sign sums
-        diag = np.diagonal(cls_id)
-        live = diag >= 0
-        per_class = np.bincount(diag[live], weights=np.diagonal(sign)[live])
-        return u * int(per_class @ per_class) * Fraction(model.sigma2) / dim, None
-    off = cls_id[~np.eye(dim, dtype=bool)]
-    ksum = int(np.sum(np.bincount(off[off >= 0]) ** 2))
-    return Fraction(ksum, dim**2) * _square_variance(model), None
+        return Fraction(0), None
+    off_diagonal = 4 * (n - 1) + (symmetry_class is SymmetryClass.CI)
+    return Fraction(off_diagonal, n) * _square_variance(model), None
 
 
 def V_n_exact(
@@ -293,9 +289,10 @@ def V_n_exact(
     budget: int = 10**8,
 ) -> float:
     """Finite-size variance coefficient of the degree-m Chebyshev trace:
-    the rational of ``_exact_cell``, rounded to float once.  For m >= 3
-    this is the leading-order formula evaluated at n, not the finite-n
-    variance that the oracles compute; the two differ by O(1/n).
+    the rational of ``_exact_cell``, rounded to float once: 0 at m=1; at
+    m=2 the sum over off-diagonal pairs, the finite-n variance in DIII and
+    Var(g^2)/n below it in CI; at m >= 3 the leading-order formula at n,
+    O(1/n) off the oracles' finite-n variance.
     """
     return float(_exact_cell(symmetry_class, n, m, model, budget)[0])
 

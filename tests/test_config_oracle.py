@@ -242,6 +242,42 @@ def test_diii_runs_on_the_real_block_matrix(monkeypatch, model):
             assert got.hex() == "0x0.0p+0", (m, mu)
 
 
+@pytest.mark.parametrize("model", (RADEM, THREE_ATOMS, SKEWED), ids=("two", "three", "skewed"))
+def test_odd_diii_degree_forms_no_unread_power(monkeypatch, model):
+    """DIII at max(m, mu) = 5 takes the trace of U_4 last, as Tr T_5 is
+    +0.0: 3 products per evaluated block, not 4.  Its traces are the first
+    five of max(m, mu) = 6, bit for bit."""
+    traces, products = [], []
+
+    def recording(Y, M, sigma, stacks, pair_unit):
+        traces.append(_recurrence_traces(Y, M, sigma, stacks, pair_unit).copy())
+        return traces[-1]
+
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_recurrence_traces", recording)
+    monkeypatch.setattr(np, "matmul", counting)
+
+    def run(m, mu):
+        traces.clear()
+        products.clear()
+        value = cov_traces_config_oracle(DIII, 4, m, mu, model)
+        return value, list(traces), len(products)
+
+    _, even, count = run(6, 4)
+    assert count == 5 * len(even)
+    for m, mu in ((5, 3), (3, 5), (5, 4)):
+        value, odd, count = run(m, mu)
+        assert value.hex() == "0x0.0p+0"
+        assert odd and count == 3 * len(odd), (m, mu)
+        assert len(odd) == len(even)
+        assert all(np.array_equal(a, b[:, :5]) for a, b in zip(odd, even)), (m, mu)
+
+
 # values at CI n = 4 of the enumeration that runs the recurrence on every one
 # of the 2^20 configurations
 CI4_RADEMACHER = {

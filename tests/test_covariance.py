@@ -358,7 +358,8 @@ def test_m8_at_n64_memory_is_bounded():
 
 def test_second_n_runs_no_pass(monkeypatch):
     """The a_k of a (class, m) serve every n after the first: V_n_exact and
-    cov_report at other n build no tables and run no pass."""
+    cov_report at other n build no tables and run no pass.  m = 1 and 2
+    are closed forms and build no table at any n."""
     built = []
 
     def counting_tables(cls, n):
@@ -367,6 +368,9 @@ def test_second_n_runs_no_pass(monkeypatch):
 
     monkeypatch.setattr(covariance, "class_tables", counting_tables)
     _shape_pass.cache_clear()
+    for cls, n, m in itertools.product((CI, DIII), (2, 9, 300), (1, 2)):
+        assert V_n_exact(cls, n, m, GAUSS) == cov_report(cls, n, m, GAUSS).v_n
+    assert built == []
     first = V_n_exact(CI, 4, 5, GAUSS)
     assert built == [(CI, 5)]
     assert V_n_exact(CI, 6, 5, GAUSS) == first == 0.0
@@ -374,6 +378,52 @@ def test_second_n_runs_no_pass(monkeypatch):
     assert built == [(CI, 5)]
     assert _shape_pass.cache_info().misses == 1
     assert report.v_n == 0.0 and len(report.per_g) == 10
+
+
+def _off_diagonal_counts(cls, n, model):
+    """V_n at m = 1 and 2 counted from the members of every class: the
+    squared diagonal sign sum of each class times u sigma^2 / 2n, and the
+    squared number of off-diagonal members times Var(g^2) / (2n)^2."""
+    classes = build_equivalence_classes(cls, n)
+    diag = sum(
+        sum(s for (p, q), s in zip(c.members, c.signs) if p == q) ** 2 for c in classes
+    )
+    off = sum(sum(p != q for p, q in c.members) ** 2 for c in classes)
+    dim = 2 * n
+    var_sq = model.exact_moment(4) - model.exact_moment(2) ** 2
+    return cls.pair_unit * diag * Fraction(model.sigma2) / dim, Fraction(off, dim**2) * var_sq
+
+
+@pytest.mark.parametrize("model", (
+    GAUSS,
+    EntryModel.gaussian(0.49),
+    RADEM,
+    EntryModel.rademacher(2.25),
+    EntryModel.from_atoms([(-1.0, 2 / 3), (2.0, 1 / 3)]),
+    EntryModel.from_atoms([(-0.5, 0.6), (0.75, 0.4)]),
+), ids=("gauss", "gauss0.49", "radem", "radem2.25", "skew", "skew2"))
+def test_low_degrees_match_member_counts(model):
+    """The closed forms of m = 1 and 2 are the rationals counted from the
+    members of ``build_equivalence_classes``, n = 1..12 in both classes:
+    0 at m = 1, and Var(g^2) (4(n-1) + [CI]) / n at m = 2."""
+    for cls in (CI, DIII):
+        for n in range(1 if cls is CI else 2, 13):
+            v1, v2 = _off_diagonal_counts(cls, n, model)
+            got1, got2 = (covariance._exact_cell(cls, n, m, model, 10**8) for m in (1, 2))
+            assert got1 == (v1, None) and v1 == 0
+            assert got2 == (v2, None), (cls, n)
+            assert v2 == Fraction(4 * (n - 1) + (cls is CI), n) * (
+                model.exact_moment(4) - model.exact_moment(2) ** 2
+            )
+            assert V_n_exact(cls, n, 1, model).hex() == "0x0.0p+0"
+            assert V_n_exact(cls, n, 2, model) == float(v2)
+
+
+def test_second_degree_at_a_million():
+    """m = 2 at n = 10^6 costs no (2n)^2 table: the closed form, rounded once."""
+    assert V_n_exact(CI, 10**6, 2, GAUSS) == float(Fraction(2 * (4 * 10**6 - 3), 10**6))
+    assert V_n_exact(DIII, 10**6, 2, GAUSS) == float(Fraction(8 * (10**6 - 1), 10**6))
+    assert cov_report(DIII, 10**6, 1, GAUSS).v_n == 0.0
 
 
 def test_budget_is_checked_before_the_cache():
@@ -396,6 +446,11 @@ def test_size_is_validated():
         _shift_sum(DIII, 1, 4, 10**8)
     with pytest.raises(ValueError, match="n must be positive"):
         V_n_exact(CI, 0, 4, GAUSS)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="n must be positive"):
+            V_n_exact(CI, 0, m, GAUSS)
+        with pytest.raises(ValueError, match="degenerate"):
+            cov_report(DIII, 1, m, GAUSS)
 
 
 @pytest.mark.parametrize(
